@@ -14,8 +14,9 @@ serialization order is graded-lexicographic, highest first.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import ClassVar, Mapping, Sequence
 
 from .errors import (
     DegenerateDenominatorError,
@@ -36,6 +37,18 @@ def _as_fraction(value) -> Fraction:
     raise InputDomainError(
         f"coefficients must be integers or Fractions, got {type(value).__name__}"
     )
+
+
+def latex_number(value: Fraction) -> str:
+    """An exact rational in LaTeX: ``3`` or ``\\frac{1}{2}``."""
+    if value.denominator == 1:
+        return str(value.numerator)
+    return f"\\frac{{{value.numerator}}}{{{value.denominator}}}"
+
+
+def json_number(value: Fraction) -> dict:
+    """An exact rational as ``{"num": n, "den": d}`` with integer parts."""
+    return {"num": value.numerator, "den": value.denominator}
 
 
 def _grlex_key(exponents: tuple[int, ...]) -> tuple:
@@ -238,57 +251,30 @@ class LaurentPoly:
 
     def to_text(self, varnames: Sequence[str] | None = None) -> str:
         """Deterministic plain-text form, e.g. ``z1^-1*z2^-2 - z1^-2*z2^-1``."""
-        if self.is_zero:
-            return "0"
-        names = tuple(varnames) if varnames else _default_names(self.arity)
-        pieces: list[str] = []
-        for exponents, coeff in self.sorted_terms():
-            factors = [
-                names[i] if e == 1 else f"{names[i]}^{e}"
-                for i, e in enumerate(exponents)
-                if e != 0
-            ]
-            magnitude = abs(coeff)
-            if not factors:
-                body = str(magnitude)
-            elif magnitude == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(magnitude)] + factors)
-            if not pieces:
-                pieces.append(f"-{body}" if coeff < 0 else body)
-            else:
-                pieces.append(f"- {body}" if coeff < 0 else f"+ {body}")
-        return " ".join(pieces)
+        return self._render(varnames, "*", "{}^{}", str)
 
     def to_latex(self, varnames: Sequence[str] | None = None) -> str:
         """LaTeX form with explicit negative exponents, e.g. ``z_{1}^{-1}``."""
+        return self._render(varnames, " ", "{}^{{{}}}", latex_number)
+
+    def _render(self, varnames, join: str, power_fmt: str, magnitude_fmt) -> str:
+        """Signed terms in grlex order; a unit magnitude is shown only on constants."""
         if self.is_zero:
             return "0"
         names = tuple(varnames) if varnames else _default_names(self.arity)
         pieces: list[str] = []
         for exponents, coeff in self.sorted_terms():
             factors = [
-                names[i] if e == 1 else f"{names[i]}^{{{e}}}"
+                names[i] if e == 1 else power_fmt.format(names[i], e)
                 for i, e in enumerate(exponents)
                 if e != 0
             ]
             magnitude = abs(coeff)
-            if magnitude.denominator == 1:
-                mag_tex = str(magnitude.numerator)
-            else:
-                mag_tex = f"\\frac{{{magnitude.numerator}}}{{{magnitude.denominator}}}"
-            if not factors:
-                body = mag_tex
-            elif magnitude == 1:
-                body = " ".join(factors)
-            else:
-                body = " ".join([mag_tex] + factors)
-            if not pieces:
-                pieces.append(f"-{body}" if coeff < 0 else body)
-            else:
-                pieces.append(f"- {body}" if coeff < 0 else f"+ {body}")
-        return " ".join(pieces)
+            if not factors or magnitude != 1:
+                factors.insert(0, magnitude_fmt(magnitude))
+            pieces.append(f"{'-' if coeff < 0 else '+'} {join.join(factors)}")
+        text = " ".join(pieces)
+        return text[2:] if text[0] == "+" else "-" + text[2:]
 
     def to_json_dict(self) -> dict:
         """JSON-ready dict: ``{arity, terms: [{exp, num, den}, ...]}``.
@@ -568,3 +554,34 @@ def scale_value(scale: Fraction, value):
     if isinstance(value, EXACT_SCALARS):
         return scale * value
     return float(scale) * value
+
+
+@dataclass(frozen=True)
+class ScaledForm:
+    """A closed form ``scale * body`` in the variables ``<prefix>1..<prefix>dim``.
+
+    ``body`` is a :class:`LaurentPoly` or a :class:`RationalFn`.  Each
+    domain subclasses this with its variable prefix, its metadata, its
+    JSON shape and its LaTeX layout.
+    """
+
+    dim: int
+    scale: Fraction
+    body: "LaurentPoly | RationalFn"
+
+    prefix: ClassVar[str] = "x"
+
+    def evaluate(self, point: Sequence) -> "Fraction | complex":
+        return scale_value(self.scale, self.body.evaluate(point))
+
+    def varnames(self) -> tuple[str, ...]:
+        return tuple(f"{self.prefix}{q}" for q in range(1, self.dim + 1))
+
+    def latex_names(self) -> tuple[str, ...]:
+        return tuple(f"{self.prefix}_{{{q}}}" for q in range(1, self.dim + 1))
+
+    def to_text(self) -> str:
+        body = self.body.to_text(self.varnames())
+        if self.scale == 1:
+            return body
+        return f"{self.scale} * ({body})"

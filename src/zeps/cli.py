@@ -2,22 +2,18 @@
 run the verification sweeps, and print the 2-D pole/zero report.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
-error, 3 evaluation error (singular point, pole).
+error, 3 evaluation error (singular point, pole, overflow).
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 from fractions import Fraction
 
-from .errors import (
-    DegenerateDenominatorError,
-    EvaluationPoleError,
-    MapSingularityError,
-    ZepsError,
-)
+from .errors import InputDomainError, ZepsError
 from .sdomain import (
     MAX_LAPLACE_DIM,
     TustinParams,
@@ -29,7 +25,7 @@ from .verify import (
     check_epsilon_formulas,
     check_tustin_consistency,
 )
-from .ztransform import MAX_DIM, MIN_DIM, determinant_ztransform
+from .ztransform import determinant_ztransform, require_dim
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -38,26 +34,37 @@ EXIT_EVALUATION = 3
 
 
 def _parse_steps(text: str, dim: int) -> TustinParams:
-    parts = [p.strip() for p in text.split(",")]
-    values = [Fraction(p) for p in parts]
-    if len(values) == 1:
-        return TustinParams.uniform(dim, values[0])
-    return TustinParams(dim, tuple(values))
+    parts = text.split(",")
+    if len(parts) == 1:
+        return TustinParams.uniform(dim, parts[0])
+    return TustinParams(dim, tuple(parts))
+
+
+def _parse_coordinate(text: str) -> "Fraction | complex":
+    """An exact rational when the text reads as one, else a finite complex."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        pass
+    try:
+        value = complex(text)
+        if cmath.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    raise InputDomainError(f"point coordinates must be finite numbers, got {text!r}")
 
 
 def _parse_point(text: str, dim: int) -> tuple:
-    components = []
-    for part in text.split(","):
-        part = part.strip()
-        try:
-            components.append(Fraction(part))
-        except ValueError:
-            components.append(complex(part))
+    components = tuple(_parse_coordinate(part.strip()) for part in text.split(","))
     if len(components) != dim:
         raise ValueError(f"point needs {dim} components, got {len(components)}")
     if any(isinstance(c, complex) for c in components):
-        components = [complex(c) for c in components]
-    return tuple(components)
+        try:
+            components = tuple(complex(c) for c in components)
+        except OverflowError as exc:
+            raise InputDomainError(f"point too large for complex evaluation: {exc}") from exc
+    return components
 
 
 def _print_value(value) -> None:
@@ -69,15 +76,10 @@ def _print_value(value) -> None:
 
 def _build_transform(args):
     if args.domain == "z":
-        if not MIN_DIM <= args.dim <= MAX_DIM:
-            raise ValueError(f"z-domain dimension must lie in [{MIN_DIM}, {MAX_DIM}]")
         return determinant_ztransform(args.dim)
-    if not MIN_DIM <= args.dim <= MAX_LAPLACE_DIM:
-        raise ValueError(
-            f"s-domain dimension must lie in [{MIN_DIM}, {MAX_LAPLACE_DIM}]"
-        )
-    params = _parse_steps(args.T, args.dim)
-    return laplace_determinant(args.dim, params)
+    # Check the window before _parse_steps builds one step per dimension.
+    require_dim(args.dim, MAX_LAPLACE_DIM)
+    return laplace_determinant(args.dim, _parse_steps(args.T, args.dim))
 
 
 def cmd_emit(args) -> int:
@@ -93,14 +95,14 @@ def cmd_emit(args) -> int:
 
 def cmd_eval(args) -> int:
     result = _build_transform(args)
-    point = _parse_point(args.point, args.dim)
-    _print_value(result.evaluate(point))
+    value = result.evaluate(_parse_point(args.point, args.dim))
+    if isinstance(value, complex) and not cmath.isfinite(value):
+        raise OverflowError(f"complex evaluation overflowed to {value}")
+    _print_value(value)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    if not MIN_DIM <= args.dim <= MAX_DIM:
-        raise ValueError(f"verify dimension must lie in [{MIN_DIM}, {MAX_DIM}]")
     checks = [
         check_epsilon_formulas(args.dim),
         check_determinant_oracle(args.dim),
@@ -197,7 +199,7 @@ def main(argv=None) -> int:
         parser.error("--tol must be > 0")
     try:
         return args.func(args)
-    except (EvaluationPoleError, MapSingularityError, DegenerateDenominatorError) as exc:
+    except (ZeroDivisionError, OverflowError) as exc:
         print(f"evaluation error: {exc}", file=sys.stderr)
         return EXIT_EVALUATION
     except (ZepsError, ValueError) as exc:

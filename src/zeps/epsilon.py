@@ -24,6 +24,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterator, Sequence
 
+from .algebra import EXACT_SCALARS
 from .errors import (
     DegenerateDenominatorError,
     InputDomainError,
@@ -31,8 +32,6 @@ from .errors import (
 )
 
 MultiIndex = tuple[int, ...]
-
-EXACT_SCALARS = (int, Fraction)
 
 
 def check_index(indices: Sequence[int]) -> MultiIndex:

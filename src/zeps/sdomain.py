@@ -17,19 +17,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
-from .algebra import EXACT_SCALARS, LaurentPoly, RationalFn, det, scale_value
-from .errors import (
-    EvaluationPoleError,
-    InputDomainError,
-    MapSingularityError,
-    UnsupportedDimensionError,
+from .algebra import (
+    EXACT_SCALARS,
+    LaurentPoly,
+    RationalFn,
+    ScaledForm,
+    det,
+    json_number,
+    latex_number,
 )
+from .errors import EvaluationPoleError, InputDomainError, MapSingularityError
 from .epsilon import gamma_int
-from .ztransform import scale_constant
+from .ztransform import require_dim, require_moment, scale_constant
 
-MIN_DIM = 2
 MAX_LAPLACE_DIM = 5
 
 
@@ -114,16 +116,9 @@ def r_sum(dim: int, p: int, q: int, params: TustinParams) -> RationalFn:
     Assembled over the common denominator (2 + T_q s_q)^dim, so the
     numerator is sum_r r^p (2 - T_q s_q)^r (2 + T_q s_q)^(dim - r).
     """
-    _require_laplace_dim(dim)
-    if not isinstance(p, int) or not 0 <= p <= dim - 1:
-        raise InputDomainError(f"moment order p must lie in [0, {dim - 1}], got {p!r}")
-    if not isinstance(q, int) or not 1 <= q <= dim:
-        raise InputDomainError(f"variable index q must lie in [1, {dim}], got {q!r}")
-    if params.dim != dim:
-        raise InputDomainError(
-            f"step constants are for dimension {params.dim}, expected {dim}"
-        )
-    step = params.steps[q - 1]
+    require_dim(dim, MAX_LAPLACE_DIM)
+    require_moment(dim, p, q)
+    step = _default_params(dim, params).steps[q - 1]
     minus = _linear_factor(dim, q, step, -1)
     plus = _linear_factor(dim, q, step, +1)
     numerator = LaurentPoly.zero(dim)
@@ -132,40 +127,17 @@ def r_sum(dim: int, p: int, q: int, params: TustinParams) -> RationalFn:
     return RationalFn(numerator, plus**dim)
 
 
-def _require_laplace_dim(dim: int) -> None:
-    if not isinstance(dim, int) or not MIN_DIM <= dim <= MAX_LAPLACE_DIM:
-        raise UnsupportedDimensionError(
-            f"dimension must be an integer in [{MIN_DIM}, {MAX_LAPLACE_DIM}], got {dim!r}"
-        )
-
-
 @dataclass(frozen=True)
-class LaplaceResult:
+class LaplaceResult(ScaledForm):
     """One Laplace-domain closed form: ``scale * body`` with its step constants.
 
-    The denominator of ``body`` vanishes only on the hyperplanes
-    T_q s_q = -2.
+    ``body`` is a :class:`RationalFn` whose denominator vanishes only on
+    the hyperplanes T_q s_q = -2.
     """
 
-    dim: int
-    scale: Fraction
-    body: RationalFn
     params: TustinParams
 
-    def evaluate(self, point: Sequence) -> "Fraction | complex":
-        return scale_value(self.scale, self.body.evaluate(point))
-
-    def varnames(self) -> tuple[str, ...]:
-        return tuple(f"s{q}" for q in range(1, self.dim + 1))
-
-    def latex_names(self) -> tuple[str, ...]:
-        return tuple(f"s_{{{q}}}" for q in range(1, self.dim + 1))
-
-    def to_text(self) -> str:
-        body = self.body.to_text(self.varnames())
-        if self.scale == 1:
-            return body
-        return f"{self.scale} * ({body})"
+    prefix: ClassVar[str] = "s"
 
     def to_latex(self) -> str:
         """LaTeX with the denominator in its factored (T s + 2)-power style.
@@ -177,32 +149,23 @@ class LaplaceResult:
         names = self.latex_names()
         numerator = self.body.num.to_latex(names)
         if self.body.den == _denominator_product(self.params, self.dim):
-            factors = []
-            for q in range(1, self.dim + 1):
-                step = self.params.steps[q - 1]
-                if step == 1:
-                    head = names[q - 1]
-                elif step.denominator == 1:
-                    head = f"{step.numerator} {names[q - 1]}"
-                else:
-                    head = f"\\frac{{{step.numerator}}}{{{step.denominator}}} {names[q - 1]}"
-                factors.append(f"\\left({head} + 2\\right)^{{{self.dim}}}")
-            denominator = " ".join(factors)
+            heads = [
+                name if step == 1 else f"{latex_number(step)} {name}"
+                for name, step in zip(names, self.params.steps)
+            ]
+            denominator = " ".join(f"\\left({h} + 2\\right)^{{{self.dim}}}" for h in heads)
         else:
             denominator = self.body.den.to_latex(names)
         fraction = f"\\frac{{{numerator}}}{{{denominator}}}"
         if self.scale == 1:
             return fraction
-        scale = f"\\frac{{{self.scale.numerator}}}{{{self.scale.denominator}}}"
-        return f"{scale} \\, {fraction}"
+        return f"{latex_number(self.scale)} \\, {fraction}"
 
     def to_json_dict(self) -> dict:
         return {
             "dim": self.dim,
-            "T": [
-                {"num": t.numerator, "den": t.denominator} for t in self.params.steps
-            ],
-            "scale": {"num": self.scale.numerator, "den": self.scale.denominator},
+            "T": [json_number(t) for t in self.params.steps],
+            "scale": json_number(self.scale),
             "numerator": self.body.num.to_json_dict(),
             "denominator": self.body.den.to_json_dict(),
         }
@@ -223,12 +186,16 @@ def laplace_determinant(dim: int, params: TustinParams | None = None) -> Laplace
 
     Exactly the Z-domain determinant with every moment sum replaced by
     its bilinear image; agrees with evaluating the Z-domain form at
-    z_q = tustin_map(s_q, T_q).
+    z_q = tustin_map(s_q, T_q).  Column q of the matrix shares the
+    denominator (2 + T_q s_q)^dim, so the determinant is taken over the
+    numerators and divided once by the pole product.
     """
-    _require_laplace_dim(dim)
+    require_dim(dim, MAX_LAPLACE_DIM)
     params = _default_params(dim, params)
-    matrix = [[r_sum(dim, p, q, params) for q in range(1, dim + 1)] for p in range(dim)]
-    body = det(matrix)
+    numerators = [
+        [r_sum(dim, p, q, params).num for q in range(1, dim + 1)] for p in range(dim)
+    ]
+    body = RationalFn(det(numerators), _denominator_product(params, dim))
     return LaplaceResult(dim, Fraction(1, scale_constant(dim)), body, params)
 
 
@@ -252,9 +219,7 @@ def laplace_2d_closed(params: TustinParams) -> LaplaceResult:
         * (step * s1 - 2)
         * (step * s2 - 2)
     )
-    denominator = (
-        _linear_factor(2, 1, step, +1) ** 2 * _linear_factor(2, 2, step, +1) ** 2
-    )
+    denominator = _denominator_product(params, 2)
     return LaplaceResult(2, Fraction(1), RationalFn(numerator, denominator), params)
 
 
@@ -339,25 +304,17 @@ class PoleZeroReport:
         return "\n".join(lines)
 
     def to_json_dict(self) -> dict:
+        def sites(pairs):
+            return [
+                {"dimension": q + 1, "location": json_number(loc), "multiplicity": mult}
+                for q, (loc, mult) in enumerate(pairs)
+            ]
+
         return {
             "dim": self.dim,
-            "T": {"num": self.step.numerator, "den": self.step.denominator},
-            "poles": [
-                {
-                    "dimension": q + 1,
-                    "location": {"num": loc.numerator, "den": loc.denominator},
-                    "multiplicity": mult,
-                }
-                for q, (loc, mult) in enumerate(self.poles)
-            ],
-            "intra_zeros": [
-                {
-                    "dimension": q + 1,
-                    "location": {"num": loc.numerator, "den": loc.denominator},
-                    "multiplicity": mult,
-                }
-                for q, (loc, mult) in enumerate(self.intra_zeros)
-            ],
+            "T": json_number(self.step),
+            "poles": sites(self.poles),
+            "intra_zeros": sites(self.intra_zeros),
             "inter_zeros": list(self.inter_zeros),
         }
 

@@ -16,7 +16,12 @@ from fractions import Fraction
 
 from .epsilon import enumerate_indices, epsilon_product, sign_oracle
 from .sdomain import TustinParams, laplace_determinant, tustin_map
-from .ztransform import brute_force_ztransform, determinant_ztransform
+from .ztransform import (
+    MAX_DIM,
+    brute_force_ztransform,
+    determinant_ztransform,
+    require_dim,
+)
 
 
 @dataclass(frozen=True)
@@ -82,6 +87,7 @@ def random_rational_s_point(
 
 def check_epsilon_formulas(dim: int) -> CheckResult:
     """Product closed form vs inversion parity over all dim**dim tuples."""
+    require_dim(dim, MAX_DIM)
     mismatches = [
         idx
         for idx in enumerate_indices(dim)

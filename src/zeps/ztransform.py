@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import ClassVar
 
-from .algebra import LaurentPoly, det, scale_value
+from .algebra import LaurentPoly, ScaledForm, det, json_number, latex_number
 from .epsilon import enumerate_indices, gamma_int, sign_oracle
 from .errors import InputDomainError, UnsupportedDimensionError
 
@@ -25,11 +25,21 @@ MIN_DIM = 2
 MAX_DIM = 6
 
 
-def _require_dim(dim: int, low: int, high: int) -> None:
-    if not isinstance(dim, int) or not low <= dim <= high:
+def require_dim(dim: int, high: int | None = None) -> None:
+    """Reject any dimension that is not an integer in [MIN_DIM, high]."""
+    if not isinstance(dim, int) or dim < MIN_DIM or (high is not None and dim > high):
+        window = f"in [{MIN_DIM}, {high}]" if high is not None else f">= {MIN_DIM}"
         raise UnsupportedDimensionError(
-            f"dimension must be an integer in [{low}, {high}], got {dim!r}"
+            f"dimension must be an integer {window}, got {dim!r}"
         )
+
+
+def require_moment(dim: int, p: int, q: int) -> None:
+    """Reject a moment order p outside [0, dim-1] or a variable q outside [1, dim]."""
+    if not isinstance(p, int) or not 0 <= p <= dim - 1:
+        raise InputDomainError(f"moment order p must lie in [0, {dim - 1}], got {p!r}")
+    if not isinstance(q, int) or not 1 <= q <= dim:
+        raise InputDomainError(f"variable index q must lie in [1, {dim}], got {q!r}")
 
 
 @dataclass(frozen=True)
@@ -47,59 +57,36 @@ class ROCSpec:
 
 def roc(dim: int) -> ROCSpec:
     """Per-dimension constraint set ``z_q != 0`` for q = 1..dim."""
-    if not isinstance(dim, int) or dim < MIN_DIM:
-        raise UnsupportedDimensionError(
-            f"region of convergence is built for dimension >= {MIN_DIM}, got {dim!r}"
-        )
+    require_dim(dim)
     return ROCSpec(dim, tuple(f"z{q} != 0" for q in range(1, dim + 1)))
 
 
 @dataclass(frozen=True)
-class TransformResult:
+class TransformResult(ScaledForm):
     """One closed-form Z-domain transform: ``scale * body`` plus ROC metadata.
 
     ``body`` is a Laurent polynomial in z_1..z_dim whose exponents all
     lie in [-dim, -1] per variable (the summation window is 1..dim).
     """
 
-    dim: int
-    scale: Fraction
-    body: LaurentPoly
     roc: ROCSpec
+
+    prefix: ClassVar[str] = "z"
 
     def expanded(self) -> LaurentPoly:
         """The transform as a single canonical polynomial, scale folded in."""
         return self.scale * self.body
 
-    def evaluate(self, point: Sequence) -> "Fraction | complex":
-        return scale_value(self.scale, self.body.evaluate(point))
-
-    def varnames(self) -> tuple[str, ...]:
-        return tuple(f"z{q}" for q in range(1, self.dim + 1))
-
-    def latex_names(self) -> tuple[str, ...]:
-        return tuple(f"z_{{{q}}}" for q in range(1, self.dim + 1))
-
-    def to_text(self) -> str:
-        body = self.body.to_text(self.varnames())
-        if self.scale == 1:
-            return body
-        return f"{self.scale} * ({body})"
-
     def to_latex(self) -> str:
         body = self.body.to_latex(self.latex_names())
         if self.scale == 1:
             return body
-        scale = f"\\frac{{{self.scale.numerator}}}{{{self.scale.denominator}}}"
-        return f"{scale} \\left( {body} \\right)"
+        return f"{latex_number(self.scale)} \\left( {body} \\right)"
 
     def to_json_dict(self) -> dict:
         return {
             "dim": self.dim,
-            "scale": {
-                "num": self.scale.numerator,
-                "den": self.scale.denominator,
-            },
+            "scale": json_number(self.scale),
             "body": self.body.to_json_dict(),
             "roc": list(self.roc.constraints),
         }
@@ -118,11 +105,8 @@ def s_sum(dim: int, p: int, q: int) -> LaurentPoly:
     dim-variable ring so matrix entries for different q multiply
     directly.
     """
-    _require_dim(dim, MIN_DIM, MAX_DIM)
-    if not isinstance(p, int) or not 0 <= p <= dim - 1:
-        raise InputDomainError(f"moment order p must lie in [0, {dim - 1}], got {p!r}")
-    if not isinstance(q, int) or not 1 <= q <= dim:
-        raise InputDomainError(f"variable index q must lie in [1, {dim}], got {q!r}")
+    require_dim(dim, MAX_DIM)
+    require_moment(dim, p, q)
     terms = {}
     for r in range(1, dim + 1):
         exponents = [0] * dim
@@ -138,10 +122,7 @@ def scale_constant(dim: int) -> int:
     1 <= q <= dim-p; the result equals the factorial product
     1! * 2! * ... * (dim-1)!.
     """
-    if not isinstance(dim, int) or dim < MIN_DIM:
-        raise UnsupportedDimensionError(
-            f"scale constant is defined for dimension >= {MIN_DIM}, got {dim!r}"
-        )
+    require_dim(dim)
     value = 1
     for p in range(1, dim):
         for q in range(1, dim - p + 1):
@@ -155,7 +136,7 @@ def brute_force_ztransform(dim: int) -> TransformResult:
     Exactly dim! tuples survive (the permutations), each contributing a
     distinct monomial with coefficient +/-1.
     """
-    _require_dim(dim, MIN_DIM, MAX_DIM)
+    require_dim(dim, MAX_DIM)
     terms = {}
     for idx in enumerate_indices(dim):
         sign = sign_oracle(idx)
@@ -172,7 +153,7 @@ def determinant_ztransform(dim: int) -> TransformResult:
     the determinant divided by ``scale_constant(dim)`` reproduces the
     brute-force transform exactly.
     """
-    _require_dim(dim, MIN_DIM, MAX_DIM)
+    require_dim(dim, MAX_DIM)
     matrix = [[s_sum(dim, p, q) for q in range(1, dim + 1)] for p in range(dim)]
     body = det(matrix)
     return TransformResult(dim, Fraction(1, scale_constant(dim)), body, roc(dim))

@@ -194,3 +194,76 @@ class TestReport:
         code, _, err = run(capsys, "report", "--dim", "3")
         assert code == EXIT_USAGE
         assert "verify" in err
+
+
+class TestPointBoundary:
+    def test_zero_denominator_coordinate_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "eval", "--domain", "z", "--dim", "2", "--point=1/0,1")
+        assert code == EXIT_USAGE and out == ""
+        assert "finite" in err
+
+    @pytest.mark.parametrize("point", ["nan,1", "inf+0j,1"])
+    def test_non_finite_coordinate_is_usage_error(self, capsys, point):
+        code, out, err = run(
+            capsys, "eval", "--domain", "z", "--dim", "2", f"--point={point}"
+        )
+        assert code == EXIT_USAGE and out == ""
+        assert "finite" in err
+
+    def test_exact_coordinate_beyond_complex_range_is_usage_error(self, capsys):
+        # 1e400 is exact on its own but has no complex value beside 1+0j
+        code, out, err = run(
+            capsys, "eval", "--domain", "z", "--dim", "2", "--point=1e400,1+0j"
+        )
+        assert code == EXIT_USAGE and out == ""
+        assert "too large" in err
+
+    def test_z_power_overflow_is_evaluation_error(self, capsys):
+        code, out, err = run(
+            capsys, "eval", "--domain", "z", "--dim", "2", "--point=1e200+0j,1e-200+0j"
+        )
+        assert code == EXIT_EVALUATION and out == ""
+        assert "evaluation error" in err
+
+    def test_s_overflow_is_evaluation_error(self, capsys):
+        code, out, err = run(
+            capsys, "eval", "--domain", "s", "--dim", "2", "--point=1e200+0j,1"
+        )
+        assert code == EXIT_EVALUATION and out == ""
+        assert "evaluation error" in err
+
+    def test_non_finite_result_is_never_printed(self, capsys):
+        # each term overflows to an infinity and their difference is nan
+        code, out, err = run(
+            capsys, "eval", "--domain", "z", "--dim", "2", "--point=1e-100+0j,1e-150+0j"
+        )
+        assert code == EXIT_EVALUATION and out == ""
+        assert "evaluation error" in err
+
+
+class TestStepBoundary:
+    def test_zero_denominator_step_on_emit_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "emit", "--domain", "s", "--dim", "2", "--T=1/0")
+        assert code == EXIT_USAGE and out == ""
+        assert "step constant" in err
+
+    def test_zero_denominator_step_on_verify_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", "--dim", "2", "--samples", "2", "--T=1/0")
+        assert code == EXIT_USAGE and out == ""
+        assert "step constant" in err
+
+
+class TestDimensionWindow:
+    @pytest.mark.parametrize(
+        "argv,window",
+        [
+            (("emit", "--domain", "z", "--dim", "7"), "[2, 6], got 7"),
+            (("emit", "--domain", "s", "--dim", "6"), "[2, 5], got 6"),
+            (("eval", "--domain", "s", "--dim=-1", "--point", "0"), "[2, 5], got -1"),
+            (("verify", "--dim", "7"), "[2, 6], got 7"),
+        ],
+    )
+    def test_library_check_names_the_window(self, capsys, argv, window):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert f"dimension must be an integer in {window}" in err

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from zeps.errors import UnsupportedDimensionError
 from zeps.sdomain import TustinParams
 from zeps.verify import (
     check_determinant_oracle,
@@ -81,3 +82,9 @@ class TestChecks:
         params = TustinParams(3, (Fraction(1), Fraction(1, 2), Fraction(3)))
         result = check_tustin_consistency(3, params, samples=20, seed=2)
         assert result.passed, result.details
+
+
+def test_epsilon_check_rejects_dimension_before_enumerating():
+    # 7**7 tuples would take most of a minute; the window check comes first
+    with pytest.raises(UnsupportedDimensionError):
+        check_epsilon_formulas(7)
