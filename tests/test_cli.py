@@ -232,6 +232,22 @@ class TestPointBoundary:
         assert code == EXIT_EVALUATION and out == ""
         assert "evaluation error" in err
 
+    def test_z_value_beyond_float_range_is_evaluation_error(self, capsys):
+        # 1/z = (1e200, 1e100): the true value is about -1e500
+        code, out, err = run(
+            capsys, "eval", "--domain", "z", "--dim", "2", "--point=1e-200+0j,1e-100+0j"
+        )
+        assert code == EXIT_EVALUATION and out == ""
+        assert "evaluation error" in err
+
+    def test_s_value_beyond_float_range_is_evaluation_error(self, capsys):
+        # 1e-300 off the pole T s1 = -2: w1 is about -4e300j, the value about 5e600
+        code, out, err = run(
+            capsys, "eval", "--domain", "s", "--dim", "2", "--point=-2+1e-300j,1"
+        )
+        assert code == EXIT_EVALUATION and out == ""
+        assert "evaluation error" in err
+
     def test_non_finite_result_is_never_printed(self, capsys):
         # each term overflows to an infinity and their difference is nan
         code, out, err = run(
