@@ -14,6 +14,7 @@ from .epsilon import (
 from .errors import (
     DegenerateDenominatorError,
     EvaluationPoleError,
+    IdentityViolationError,
     InputDomainError,
     MapSingularityError,
     UnsupportedDimensionError,
@@ -23,6 +24,7 @@ from .sdomain import (
     LaplaceResult,
     PoleZeroReport,
     TustinParams,
+    factored_laplace_value,
     laplace_2d_closed,
     laplace_compact_3d,
     laplace_determinant,
@@ -36,6 +38,7 @@ from .ztransform import (
     brute_force_ztransform,
     compact_form_3d,
     determinant_ztransform,
+    factored_value,
     heaviside,
     roc,
     s_sum,
@@ -47,6 +50,7 @@ __version__ = "0.1.0"
 __all__ = [
     "DegenerateDenominatorError",
     "EvaluationPoleError",
+    "IdentityViolationError",
     "InputDomainError",
     "LaplaceResult",
     "LaurentPoly",
@@ -66,6 +70,8 @@ __all__ = [
     "enumerate_indices",
     "epsilon_generalized",
     "epsilon_product",
+    "factored_laplace_value",
+    "factored_value",
     "gamma_int",
     "heaviside",
     "kron_delta",

@@ -39,11 +39,39 @@ def _as_fraction(value) -> Fraction:
     )
 
 
+# Below the smallest digit cap Python allows on int-to-str conversion (640).
+_SHORT_INT = 10**600
+
+
+def int_text(n: int) -> str:
+    """``str(n)`` for an integer of any length.
+
+    Python caps int-to-str conversion at a digit count to guard the
+    parsing of untrusted text (CVE-2020-10735).  The integers printed
+    here were built by this package, so a long one is split at a power
+    of ten into halves that each convert under the cap.
+    """
+    if -_SHORT_INT < n < _SHORT_INT:
+        return str(n)
+    if n < 0:
+        return "-" + int_text(-n)
+    half = n.bit_length() * 3 // 20  # just under half the decimal digits
+    high, low = divmod(n, 10**half)
+    return int_text(high) + int_text(low).zfill(half)
+
+
+def rational_text(value: Fraction) -> str:
+    """``str(value)`` for a rational of any length: ``3`` or ``1/2``."""
+    if value.denominator == 1:
+        return int_text(value.numerator)
+    return f"{int_text(value.numerator)}/{int_text(value.denominator)}"
+
+
 def latex_number(value: Fraction) -> str:
     """An exact rational in LaTeX: ``3`` or ``\\frac{1}{2}``."""
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"\\frac{{{value.numerator}}}{{{value.denominator}}}"
+        return int_text(value.numerator)
+    return f"\\frac{{{int_text(value.numerator)}}}{{{int_text(value.denominator)}}}"
 
 
 def json_number(value: Fraction) -> dict:
@@ -251,7 +279,7 @@ class LaurentPoly:
 
     def to_text(self, varnames: Sequence[str] | None = None) -> str:
         """Deterministic plain-text form, e.g. ``z1^-1*z2^-2 - z1^-2*z2^-1``."""
-        return self._render(varnames, "*", "{}^{}", str)
+        return self._render(varnames, "*", "{}^{}", rational_text)
 
     def to_latex(self, varnames: Sequence[str] | None = None) -> str:
         """LaTeX form with explicit negative exponents, e.g. ``z_{1}^{-1}``."""
@@ -288,8 +316,8 @@ class LaurentPoly:
             "terms": [
                 {
                     "exp": list(exponents),
-                    "num": str(coeff.numerator),
-                    "den": str(coeff.denominator),
+                    "num": int_text(coeff.numerator),
+                    "den": int_text(coeff.denominator),
                 }
                 for exponents, coeff in self.sorted_terms()
             ],
@@ -547,6 +575,23 @@ def det(matrix: Sequence[Sequence]):
         return total
 
     return minor(tuple(range(n)))
+
+
+def vandermonde(xs: Sequence) -> "Fraction | complex":
+    """prod_q x_q * prod_{i<j} (x_j - x_i), in O(N^2) operations.
+
+    This is det[x_q^r] over r = 1..N and q = 1..N, the factored form of
+    every transform here.  Exact inputs (``int``/``Fraction``) give an
+    exact ``Fraction``; any other input makes the product ``complex``.
+    """
+    exact = all(isinstance(x, EXACT_SCALARS) for x in xs)
+    values = [Fraction(x) if exact else complex(x) for x in xs]
+    product = Fraction(1) if exact else complex(1)
+    for j, x in enumerate(values):
+        product *= x
+        for earlier in values[:j]:
+            product *= x - earlier
+    return product
 
 
 def scale_value(scale: Fraction, value):

@@ -13,10 +13,12 @@ import json
 import sys
 from fractions import Fraction
 
+from .algebra import rational_text
 from .errors import InputDomainError, ZepsError
 from .sdomain import (
     MAX_LAPLACE_DIM,
     TustinParams,
+    factored_laplace_value,
     laplace_determinant,
     pole_zero_report_2d,
 )
@@ -25,12 +27,14 @@ from .verify import (
     check_epsilon_formulas,
     check_tustin_consistency,
 )
-from .ztransform import determinant_ztransform, require_dim
+from .ztransform import MAX_DIM, determinant_ztransform, factored_value, require_dim
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_EVALUATION = 3
+
+DOMAIN_MAX_DIM = {"z": MAX_DIM, "s": MAX_LAPLACE_DIM}
 
 
 def _parse_steps(text: str, dim: int) -> TustinParams:
@@ -38,6 +42,17 @@ def _parse_steps(text: str, dim: int) -> TustinParams:
     if len(parts) == 1:
         return TustinParams.uniform(dim, parts[0])
     return TustinParams(dim, tuple(parts))
+
+
+def _window_then_steps(args, high: int) -> TustinParams:
+    """Check the dimension window, then read --T.
+
+    Every command that takes --T reads it, so a malformed step is a
+    usage error even where the command has no use for it.  The window
+    comes first because the steps are built one per dimension.
+    """
+    require_dim(args.dim, high)
+    return _parse_steps(args.T, args.dim)
 
 
 def _parse_coordinate(text: str) -> "Fraction | complex":
@@ -69,17 +84,16 @@ def _parse_point(text: str, dim: int) -> tuple:
 
 def _print_value(value) -> None:
     if isinstance(value, Fraction):
-        print(value)
+        print(rational_text(value))
     else:
         print(complex(value))
 
 
 def _build_transform(args):
+    params = _window_then_steps(args, DOMAIN_MAX_DIM[args.domain])
     if args.domain == "z":
         return determinant_ztransform(args.dim)
-    # Check the window before _parse_steps builds one step per dimension.
-    require_dim(args.dim, MAX_LAPLACE_DIM)
-    return laplace_determinant(args.dim, _parse_steps(args.T, args.dim))
+    return laplace_determinant(args.dim, params)
 
 
 def cmd_emit(args) -> int:
@@ -94,8 +108,12 @@ def cmd_emit(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    result = _build_transform(args)
-    value = result.evaluate(_parse_point(args.point, args.dim))
+    params = _window_then_steps(args, DOMAIN_MAX_DIM[args.domain])
+    point = _parse_point(args.point, args.dim)
+    if args.domain == "z":
+        value = factored_value(point)
+    else:
+        value = factored_laplace_value(point, params)
     if isinstance(value, complex) and not cmath.isfinite(value):
         raise OverflowError(f"complex evaluation overflowed to {value}")
     _print_value(value)
@@ -103,12 +121,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    params = _window_then_steps(args, MAX_DIM)
     checks = [
         check_epsilon_formulas(args.dim),
         check_determinant_oracle(args.dim),
     ]
     if args.dim <= MAX_LAPLACE_DIM:
-        params = _parse_steps(args.T, args.dim)
         checks.append(
             check_tustin_consistency(
                 args.dim, params, samples=args.samples, seed=args.seed, tol=args.tol

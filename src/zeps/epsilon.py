@@ -27,6 +27,7 @@ from typing import Iterator, Sequence
 from .algebra import EXACT_SCALARS
 from .errors import (
     DegenerateDenominatorError,
+    IdentityViolationError,
     InputDomainError,
     UnsupportedDimensionError,
 )
@@ -83,7 +84,10 @@ def epsilon_product(indices: Sequence[int]) -> int:
         top = idx[dim - p]  # n_{N+1-p} with 1-based index N+1-p
         for q in range(1, dim - p + 1):
             value *= Fraction(top - idx[q - 1], dim + 1 - p - q)
-    assert value.denominator == 1, "product form must collapse to an integer"
+    if value.denominator != 1:
+        raise IdentityViolationError(
+            f"product form gave {value} at {idx}; it must collapse to an integer"
+        )
     return int(value)
 
 

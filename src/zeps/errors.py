@@ -29,3 +29,7 @@ class EvaluationPoleError(ZepsError, ZeroDivisionError):
 
 class MapSingularityError(ZepsError, ZeroDivisionError):
     """The bilinear map was applied at its singular point s = 2/T."""
+
+
+class IdentityViolationError(ZepsError, ArithmeticError):
+    """An exact identity the code relies on failed to hold: a defect, not bad input."""

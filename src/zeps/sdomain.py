@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, ClassVar, Sequence
 
 from .algebra import (
@@ -27,6 +28,7 @@ from .algebra import (
     det,
     json_number,
     latex_number,
+    vandermonde,
 )
 from .errors import EvaluationPoleError, InputDomainError, MapSingularityError
 from .epsilon import gamma_int
@@ -101,8 +103,13 @@ def _linear_factor(dim: int, q: int, step: Fraction, sign: int) -> LaurentPoly:
     return LaurentPoly.constant(dim, 2) + sign * step * LaurentPoly.variable(dim, q)
 
 
+@lru_cache(maxsize=16)
 def _denominator_product(params: TustinParams, power: int) -> LaurentPoly:
-    """prod_q (2 + T_q s_q)^power -- the shared pole structure."""
+    """prod_q (2 + T_q s_q)^power -- the shared pole structure.
+
+    Cached: ``LaplaceResult.to_latex`` compares against it after every
+    build, and at dim 5 it has 7,776 terms.
+    """
     product = LaurentPoly.constant(params.dim, 1)
     for q in range(1, params.dim + 1):
         product = product * _linear_factor(params.dim, q, params.steps[q - 1], +1) ** power
@@ -199,6 +206,43 @@ def laplace_determinant(dim: int, params: TustinParams | None = None) -> Laplace
     return LaplaceResult(dim, Fraction(1, scale_constant(dim)), body, params)
 
 
+def _bilinear_images(coords: Sequence, params: TustinParams) -> list:
+    """w_q = (2 - T_q s_q)/(2 + T_q s_q), the bilinear image of z_q^{-1}.
+
+    Exact coordinates give exact images, others complex ones.  A
+    coordinate on its pole hyperplane T_q s_q = -2 raises
+    :class:`EvaluationPoleError`.
+    """
+    images = []
+    for q, (s, step) in enumerate(zip(coords, params.steps), start=1):
+        if isinstance(s, EXACT_SCALARS):
+            ts = Fraction(s) * step
+        else:
+            ts = complex(s) * float(step)
+        denominator = 2 + ts
+        if denominator == 0:
+            raise EvaluationPoleError(f"point sits on the pole hyperplane T_{q} s_{q} = -2")
+        images.append((2 - ts) / denominator)
+    return images
+
+
+def factored_laplace_value(
+    point: Sequence, params: TustinParams | None = None
+) -> "Fraction | complex":
+    """The Laplace image at ``point`` from its factors, building nothing.
+
+    Tustin's map sends z_q^{-1} to w_q = (2 - T_q s_q)/(2 + T_q s_q),
+    so the image is the Z-domain product prod_q w_q prod_{i<j} (w_j - w_i)
+    in O(N^2) operations.  It equals
+    ``laplace_determinant(N, params).evaluate(point)`` exactly at exact
+    points, and avoids the cancellation between the expanded terms at
+    complex ones.
+    """
+    coords = tuple(point)
+    require_dim(len(coords), MAX_LAPLACE_DIM)
+    return vandermonde(_bilinear_images(coords, _default_params(len(coords), params)))
+
+
 def laplace_2d_closed(params: TustinParams) -> LaplaceResult:
     """Direct two-dimensional closed form (uniform step T):
 
@@ -239,20 +283,7 @@ def laplace_compact_3d(params: TustinParams | None = None) -> Callable:
         coords = tuple(point)
         if len(coords) != 3:
             raise InputDomainError(f"point must have 3 coordinates, got {len(coords)}")
-        w = [None]  # 1-based
-        for q in (1, 2, 3):
-            step = params.steps[q - 1]
-            s = coords[q - 1]
-            if isinstance(s, EXACT_SCALARS):
-                ts = Fraction(s) * step
-            else:
-                ts = complex(s) * float(step)
-            denominator = 2 + ts
-            if denominator == 0:
-                raise EvaluationPoleError(
-                    f"point sits on the pole hyperplane T_{q} s_{q} = -2"
-                )
-            w.append((2 - ts) / denominator)
+        w = [None, *_bilinear_images(coords, params)]  # 1-based
         total = 0
         for m in (1, 2, 3):
             g = gamma_int(m)

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar
+from typing import ClassVar, Sequence
 
-from .algebra import LaurentPoly, ScaledForm, det, json_number, latex_number
+from .algebra import LaurentPoly, ScaledForm, det, json_number, latex_number, vandermonde
 from .epsilon import enumerate_indices, gamma_int, sign_oracle
-from .errors import InputDomainError, UnsupportedDimensionError
+from .errors import EvaluationPoleError, InputDomainError, UnsupportedDimensionError
 
 MIN_DIM = 2
 MAX_DIM = 6
@@ -157,6 +157,23 @@ def determinant_ztransform(dim: int) -> TransformResult:
     matrix = [[s_sum(dim, p, q) for q in range(1, dim + 1)] for p in range(dim)]
     body = det(matrix)
     return TransformResult(dim, Fraction(1, scale_constant(dim)), body, roc(dim))
+
+
+def factored_value(point: Sequence) -> "Fraction | complex":
+    """The transform at ``point`` from its factors, building nothing.
+
+    The determinant is a Vandermonde determinant in x_q = 1/z_q, so
+    E(z) = prod_q x_q prod_{i<j} (x_j - x_i) in O(N^2) operations.  It
+    equals ``determinant_ztransform(N).evaluate(point)`` exactly at exact
+    points, and avoids the cancellation between the expanded terms at
+    complex ones.  A zero coordinate raises :class:`EvaluationPoleError`.
+    """
+    coords = tuple(point)
+    require_dim(len(coords), MAX_DIM)
+    for q, z in enumerate(coords, start=1):
+        if z == 0:
+            raise EvaluationPoleError(f"z{q} = 0 is a pole of the transform")
+    return vandermonde([Fraction(1) / z for z in coords])
 
 
 def compact_form_3d() -> TransformResult:

@@ -218,19 +218,21 @@ class TestPointBoundary:
         assert code == EXIT_USAGE and out == ""
         assert "too large" in err
 
-    def test_z_power_overflow_is_evaluation_error(self, capsys):
-        code, out, err = run(
+    def test_z_extreme_coordinates_with_finite_value_evaluate(self, capsys):
+        # 1/z = (1e-200, 1e200): the value is 1e-200 * 1e200 * (1e200 - 1e-200)
+        code, out, _ = run(
             capsys, "eval", "--domain", "z", "--dim", "2", "--point=1e200+0j,1e-200+0j"
         )
-        assert code == EXIT_EVALUATION and out == ""
-        assert "evaluation error" in err
+        assert code == EXIT_OK
+        assert complex(out.strip()) == pytest.approx(1e200)
 
-    def test_s_overflow_is_evaluation_error(self, capsys):
-        code, out, err = run(
+    def test_s_extreme_coordinate_with_finite_value_evaluates(self, capsys):
+        # w = (-1, 1/3) to double precision: the value is -1 * 1/3 * (1/3 + 1)
+        code, out, _ = run(
             capsys, "eval", "--domain", "s", "--dim", "2", "--point=1e200+0j,1"
         )
-        assert code == EXIT_EVALUATION and out == ""
-        assert "evaluation error" in err
+        assert code == EXIT_OK
+        assert complex(out.strip()) == pytest.approx(-4 / 9)
 
     def test_z_value_beyond_float_range_is_evaluation_error(self, capsys):
         # 1/z = (1e200, 1e100): the true value is about -1e500
@@ -267,6 +269,32 @@ class TestStepBoundary:
         code, out, err = run(capsys, "verify", "--dim", "2", "--samples", "2", "--T=1/0")
         assert code == EXIT_USAGE and out == ""
         assert "step constant" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--dim", "6", "--samples", "1", "--T=1/0"),
+            ("eval", "--domain", "z", "--dim", "2", "--T=abc", "--point", "1,2"),
+            ("emit", "--domain", "z", "--dim", "2", "--T=abc"),
+        ],
+    )
+    def test_step_is_read_where_unused(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert "step constant" in err
+
+
+class TestLongIntegers:
+    def test_json_prints_coefficients_past_the_digit_cap(self, capsys):
+        # the cap on int-to-str conversion (4,300 digits by default) guards
+        # input parsing; built coefficients print whatever their length
+        code, out, _ = run(
+            capsys, "emit", "--domain", "s", "--dim", "4", "--T", "1e308", "--format", "json"
+        )
+        assert code == EXIT_OK
+        data = json.loads(out)
+        terms = data["numerator"]["terms"] + data["denominator"]["terms"]
+        assert max(len(term["num"]) for term in terms) > 4300
 
 
 class TestDimensionWindow:

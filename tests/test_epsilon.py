@@ -17,6 +17,7 @@ from zeps.epsilon import (
 )
 from zeps.errors import (
     DegenerateDenominatorError,
+    IdentityViolationError,
     InputDomainError,
     UnsupportedDimensionError,
 )
@@ -127,6 +128,14 @@ class TestEpsilonProduct:
     def test_matches_oracle_exhaustively(self, dim):
         for idx in enumerate_indices(dim):
             assert epsilon_product(idx) == sign_oracle(idx)
+
+    def test_non_integer_product_raises(self, monkeypatch):
+        # integer indices always give an integer product; a half-integer
+        # index let past validation breaks that, and a raise (unlike an
+        # assert) survives python -O
+        monkeypatch.setattr("zeps.epsilon.check_index", tuple)
+        with pytest.raises(IdentityViolationError):
+            epsilon_product((1, Fraction(3, 2)))
 
 
 class TestEpsilonGeneralized:

@@ -64,9 +64,9 @@ GOLDEN = (
     ("verify --dim 3 --seed 7 --samples 10", 0, "f9fee03b479c8e29944af6d725968e561e08794ea6f1a60b5e900e8f0cf6998f"),
     ("verify --dim 4 --T 1,1/2,2,1/3 --seed 7 --samples 5", 0, "aed776222b9bdf01a7e000c38f50a1698b1937aa5918e3cf77584562d5c3dda4"),
     ("eval --domain z --dim 3 --point 2,1/2,3", 0, "ff1be7b47ed40da43241c11f1765230121d657f235479db75fd8bd85f021db2a"),
-    ("eval --domain z --dim 3 --point 1+1j,2-0.5j,0.5+2j", 0, "ac9640fc4a85ce356a44ba6593d218d02f6393de21858c994eeb1d9152a43a99"),
+    ("eval --domain z --dim 3 --point 1+1j,2-0.5j,0.5+2j", 0, "a2563d40915082294a74459c24b277cc4835dc70242ad40a2ec40a977bd474b8"),
     ("eval --domain s --dim 3 --T 1/2,1,2 --point 1/3,-1,3", 0, "07f6703831b8cd390d97dd4b53684cac19f766283dd608960d6d9abc415153e5"),
-    ("eval --domain s --dim 3 --T 1/2,1,2 --point 0.5+1j,-1+0.25j,0.3-2j", 0, "3ce5fa7806ca217900322e87eb72697a3ce65a1043a1ee5a1d5b80684d0cb619"),
+    ("eval --domain s --dim 3 --T 1/2,1,2 --point 0.5+1j,-1+0.25j,0.3-2j", 0, "cffc806347bf443f478fe2c2c5c1666acfcd45059a107d8b46137cda33f7a9e3"),
 )
 
 
