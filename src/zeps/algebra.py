@@ -14,9 +14,12 @@ serialization order is graded-lexicographic, highest first.
 
 from __future__ import annotations
 
+import math
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar, Mapping, Sequence
+from typing import ClassVar, Iterable, Mapping, Sequence
 
 from .errors import (
     DegenerateDenominatorError,
@@ -65,6 +68,34 @@ def rational_text(value: Fraction) -> str:
     if value.denominator == 1:
         return int_text(value.numerator)
     return f"{int_text(value.numerator)}/{int_text(value.denominator)}"
+
+
+_EXPONENT = re.compile(r"\s*[-+]?[\d_.]*[eE][-+]?([\d_]+)\s*")
+
+
+def read_rational(text: str) -> "Fraction | None":
+    """``Fraction(text)`` under Python's int-to-str digit cap; None if no rational.
+
+    ``int`` applies the cap only to the digits written out, so exponent
+    notation would slip past it.  A value whose numerator or denominator
+    has more digits than the cap raises :class:`InputDomainError`, and
+    so does an exponent with more digits than the cap itself, before
+    ``Fraction`` expands it (``1e10000000`` alone takes seconds).
+    """
+    cap = sys.get_int_max_str_digits()
+    too_long = InputDomainError(f"{text!r} exceeds Python's int-to-str cap of {cap} digits")
+    match = _EXPONENT.fullmatch(text)
+    if cap and match and len(match.group(1).replace("_", "").lstrip("0")) > len(str(cap)):
+        raise too_long
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return None
+    longest = max(abs(value.numerator), value.denominator)
+    # 2**(3 cap) < 10**cap, so the power is built only for long values
+    if cap and longest.bit_length() > 3 * cap and longest >= 10**cap:
+        raise too_long
+    return value
 
 
 def latex_number(value: Fraction) -> str:
@@ -577,21 +608,29 @@ def det(matrix: Sequence[Sequence]):
     return minor(tuple(range(n)))
 
 
+def difference_product(xs: Iterable):
+    """prod_{i<j} (x_j - x_i), the Vandermonde product, in O(N^2) operations.
+
+    Only ``-`` and ``*`` are applied, so integers stay integers and
+    rationals or complex values keep their type.  Over the identity
+    tuple 1..N it is the Levi-Civita scale 1! 2! ... (N-1)!; over an
+    index tuple it is that scale times the symbol.
+    """
+    values = tuple(xs)
+    return math.prod(x - earlier for j, x in enumerate(values) for earlier in values[:j])
+
+
 def vandermonde(xs: Sequence) -> "Fraction | complex":
     """prod_q x_q * prod_{i<j} (x_j - x_i), in O(N^2) operations.
 
     This is det[x_q^r] over r = 1..N and q = 1..N, the factored form of
-    every transform here.  Exact inputs (``int``/``Fraction``) give an
-    exact ``Fraction``; any other input makes the product ``complex``.
+    every transform here: the difference product over (0, x_1, ..., x_N).
+    Exact inputs (``int``/``Fraction``) give an exact ``Fraction``; any
+    other input makes the product ``complex``.
     """
     exact = all(isinstance(x, EXACT_SCALARS) for x in xs)
     values = [Fraction(x) if exact else complex(x) for x in xs]
-    product = Fraction(1) if exact else complex(1)
-    for j, x in enumerate(values):
-        product *= x
-        for earlier in values[:j]:
-            product *= x - earlier
-    return product
+    return difference_product([0, *values])
 
 
 def scale_value(scale: Fraction, value):

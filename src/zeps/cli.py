@@ -10,10 +10,11 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import os
 import sys
 from fractions import Fraction
 
-from .algebra import rational_text
+from .algebra import rational_text, read_rational
 from .errors import InputDomainError, ZepsError
 from .sdomain import (
     MAX_LAPLACE_DIM,
@@ -57,10 +58,9 @@ def _window_then_steps(args, high: int) -> TustinParams:
 
 def _parse_coordinate(text: str) -> "Fraction | complex":
     """An exact rational when the text reads as one, else a finite complex."""
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        pass
+    exact = read_rational(text)
+    if exact is not None:
+        return exact
     try:
         value = complex(text)
         if cmath.isfinite(value):
@@ -82,13 +82,6 @@ def _parse_point(text: str, dim: int) -> tuple:
     return components
 
 
-def _print_value(value) -> None:
-    if isinstance(value, Fraction):
-        print(rational_text(value))
-    else:
-        print(complex(value))
-
-
 def _build_transform(args):
     params = _window_then_steps(args, DOMAIN_MAX_DIM[args.domain])
     if args.domain == "z":
@@ -96,58 +89,49 @@ def _build_transform(args):
     return laplace_determinant(args.dim, params)
 
 
-def cmd_emit(args) -> int:
+def cmd_emit(args) -> tuple[int, str]:
     result = _build_transform(args)
     if args.format == "json":
-        print(json.dumps(result.to_json_dict(), indent=2))
-    elif args.format == "latex":
-        print(result.to_latex())
-    else:
-        print(result.to_text())
-    return EXIT_OK
+        return EXIT_OK, json.dumps(result.to_json_dict(), indent=2)
+    if args.format == "latex":
+        return EXIT_OK, result.to_latex()
+    return EXIT_OK, result.to_text()
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> tuple[int, str]:
     params = _window_then_steps(args, DOMAIN_MAX_DIM[args.domain])
     point = _parse_point(args.point, args.dim)
     if args.domain == "z":
         value = factored_value(point)
     else:
         value = factored_laplace_value(point, params)
-    if isinstance(value, complex) and not cmath.isfinite(value):
+    if isinstance(value, Fraction):
+        return EXIT_OK, rational_text(value)
+    if not cmath.isfinite(value):
         raise OverflowError(f"complex evaluation overflowed to {value}")
-    _print_value(value)
-    return EXIT_OK
+    return EXIT_OK, str(value)
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, str]:
     params = _window_then_steps(args, MAX_DIM)
-    checks = [
-        check_epsilon_formulas(args.dim),
-        check_determinant_oracle(args.dim),
-    ]
+    checks = [check_epsilon_formulas(args.dim), check_determinant_oracle(args.dim)]
+    lines = []
     if args.dim <= MAX_LAPLACE_DIM:
-        checks.append(
-            check_tustin_consistency(
-                args.dim, params, samples=args.samples, seed=args.seed, tol=args.tol
-            )
-        )
+        checks.append(check_tustin_consistency(args.dim, params, args.samples, args.seed))
     else:
-        print(
+        lines.append(
             f"SKIP: bilinear substitution consistency "
             f"(s-domain supports dim <= {MAX_LAPLACE_DIM})"
         )
-    all_passed = True
     for check in checks:
-        print(f"{'PASS' if check.passed else 'FAIL'}: {check.name}")
-        if not check.passed:
-            all_passed = False
-            for line in check.details:
-                print(f"    {line}", file=sys.stderr)
-    return EXIT_OK if all_passed else EXIT_VERIFY_FAILED
+        lines.append(f"{'PASS' if check.passed else 'FAIL'}: {check.name}")
+        for line in check.details:
+            print(f"    {line}", file=sys.stderr)
+    passed = all(check.passed for check in checks)
+    return EXIT_OK if passed else EXIT_VERIFY_FAILED, "\n".join(lines)
 
 
-def cmd_report(args) -> int:
+def cmd_report(args) -> tuple[int, str]:
     if args.dim != 2:
         raise ValueError(
             "pole/zero report is implemented for dim 2 only; for dim >= 3 use "
@@ -156,10 +140,8 @@ def cmd_report(args) -> int:
     params = _parse_steps(args.T, 2)
     report = pole_zero_report_2d(params)
     if args.format == "json":
-        print(json.dumps(report.to_json_dict(), indent=2))
-    else:
-        print(report.to_text())
-    return EXIT_OK
+        return EXIT_OK, json.dumps(report.to_json_dict(), indent=2)
+    return EXIT_OK, report.to_text()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -196,7 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--T", default="1")
     verify.add_argument("--samples", type=int, default=100)
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--tol", type=float, default=1e-10)
     verify.set_defaults(func=cmd_verify)
 
     report = sub.add_parser("report", help="2-D pole/zero structure")
@@ -213,16 +194,22 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "samples", 1) < 1:
         parser.error("--samples must be >= 1")
-    if getattr(args, "tol", 1.0) <= 0:
-        parser.error("--tol must be > 0")
     try:
-        return args.func(args)
+        code, output = args.func(args)
     except (ZeroDivisionError, OverflowError) as exc:
         print(f"evaluation error: {exc}", file=sys.stderr)
         return EXIT_EVALUATION
     except (ZepsError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    try:
+        print(output)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed early (``zeps emit ... | head``).  Point stdout
+        # at /dev/null so the interpreter's flush at exit fails no more.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

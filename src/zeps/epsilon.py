@@ -8,7 +8,7 @@ provides three independent routes to those values:
   is checked against;
 * ``epsilon_product`` evaluates the exact double-product closed form
   (a Vandermonde product over the indices divided by the same product
-  at the identity tuple) in rational arithmetic;
+  at the identity tuple) in integer arithmetic;
 * ``epsilon_generalized`` drives that ratio through an arbitrary
   injective value table instead of the identity map.
 
@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterator, Sequence
 
-from .algebra import EXACT_SCALARS
+from .algebra import EXACT_SCALARS, difference_product
 from .errors import (
     DegenerateDenominatorError,
     IdentityViolationError,
@@ -66,12 +66,14 @@ def sign_oracle(indices: Sequence[int]) -> int:
 
 
 def epsilon_product(indices: Sequence[int]) -> int:
-    """Closed-form symbol value as an exact product of index differences.
+    """Closed-form symbol value: one integer Vandermonde product, one division.
 
-    Evaluates  prod_{p=1}^{N-1} prod_{q=1}^{N-p} (n_{N+1-p} - n_q) / (N+1-p-q)
-    with exact rationals.  Intermediate quotients are generally not
-    integers, so no shortcut through integer division is taken; the
-    final value is always 0 or +/-1 and equals ``sign_oracle``.
+    The symbol is eps(n) = D(n) / D(1..N) with the difference product
+    D(x) = prod_{i<j} (x_j - x_i).  The paper's double loop
+    prod_{p=1}^{N-1} prod_{q=1}^{N-p} (n_{N+1-p} - n_q) / (N+1-p-q)
+    is the same ratio reindexed by j = N+1-p, i = q.  Both products are
+    integers and the division is exact; its quotient is always 0 or
+    +/-1 and equals ``sign_oracle``.
     """
     idx = check_index(indices)
     dim = len(idx)
@@ -79,15 +81,9 @@ def epsilon_product(indices: Sequence[int]) -> int:
         raise UnsupportedDimensionError(
             "the product closed form needs dimension >= 2"
         )
-    value = Fraction(1)
-    for p in range(1, dim):
-        top = idx[dim - p]  # n_{N+1-p} with 1-based index N+1-p
-        for q in range(1, dim - p + 1):
-            value *= Fraction(top - idx[q - 1], dim + 1 - p - q)
-    if value.denominator != 1:
-        raise IdentityViolationError(
-            f"product form gave {value} at {idx}; it must collapse to an integer"
-        )
+    value, remainder = divmod(difference_product(idx), difference_product(range(1, dim + 1)))
+    if remainder:
+        raise IdentityViolationError(f"product form left remainder {remainder} at {idx}")
     return int(value)
 
 

@@ -15,6 +15,7 @@ path never leaves rational arithmetic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -28,6 +29,7 @@ from .algebra import (
     det,
     json_number,
     latex_number,
+    read_rational,
     vandermonde,
 )
 from .errors import EvaluationPoleError, InputDomainError, MapSingularityError
@@ -38,17 +40,18 @@ MAX_LAPLACE_DIM = 5
 
 
 def _as_step(value) -> Fraction:
-    if isinstance(value, Fraction):
-        step = value
-    elif isinstance(value, (int, float, str)):
-        try:
-            step = Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputDomainError(f"cannot read step constant from {value!r}") from exc
+    if isinstance(value, str):
+        step = read_rational(value)
+    elif isinstance(value, float) and not math.isfinite(value):
+        step = None
+    elif isinstance(value, (int, float, Fraction)):
+        step = Fraction(value)
     else:
         raise InputDomainError(
             f"step constants must be rational numbers, got {type(value).__name__}"
         )
+    if step is None:
+        raise InputDomainError(f"cannot read step constant from {value!r}")
     if step <= 0:
         raise InputDomainError(f"step constants must be positive, got {step}")
     return step

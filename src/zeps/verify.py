@@ -3,9 +3,10 @@
 Three checks are exposed: the product closed form against inversion
 parity (exhaustive), the determinant transform against brute-force
 summation (exact polynomial equality), and the Laplace determinant
-against the Z-domain form composed with the bilinear map (seeded
-random sampling).  All sampling uses an explicit ``random.Random``
-instance so identical seeds reproduce identical sweeps everywhere.
+against the Z-domain form composed with the bilinear map (exact
+equality at seeded random rational points).  All sampling uses an
+explicit ``random.Random`` instance so identical seeds reproduce
+identical sweeps everywhere.
 """
 
 from __future__ import annotations
@@ -121,15 +122,14 @@ def check_tustin_consistency(
     params: TustinParams | None = None,
     samples: int = 100,
     seed: int = 0,
-    tol: float = 1e-10,
 ) -> CheckResult:
     """Z-domain form composed with the bilinear map vs the Laplace determinant.
 
     Samples exact rational s-points so both routes evaluate with no
-    rounding: any surviving difference is a true algebraic mismatch.
-    (The expanded higher-dimensional numerators cancel catastrophically
-    under floating point, which would otherwise drown tolerances near
-    1e-10.)
+    rounding and are compared for equality: any difference is a true
+    algebraic mismatch.  (The expanded higher-dimensional numerators
+    cancel catastrophically under floating point, which is why no float
+    point is sampled.)
     """
     if params is None:
         params = TustinParams.uniform(dim)
@@ -144,12 +144,12 @@ def check_tustin_consistency(
         )
         via_z = z_form.evaluate(z_point)
         via_s = s_form.evaluate(s_point)
-        if not rel_close(via_z, via_s, tol):
+        if via_z != via_s:
             failures.append(f"at s={s_point}: z-route {via_z} vs s-route {via_s}")
     return CheckResult(
         name=(
             f"bilinear substitution consistency, dim={dim}, "
-            f"{samples} seeded rational points, tol={tol:g}"
+            f"{samples} seeded rational points, exact"
         ),
         passed=not failures,
         details=tuple(failures[:20]),

@@ -17,7 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar, Sequence
 
-from .algebra import LaurentPoly, ScaledForm, det, json_number, latex_number, vandermonde
+from .algebra import (
+    LaurentPoly, ScaledForm, det, difference_product, json_number, latex_number, vandermonde,
+)
 from .epsilon import enumerate_indices, gamma_int, sign_oracle
 from .errors import EvaluationPoleError, InputDomainError, UnsupportedDimensionError
 
@@ -118,16 +120,11 @@ def s_sum(dim: int, p: int, q: int) -> LaurentPoly:
 def scale_constant(dim: int) -> int:
     """Denominator of the symbol's product form at the identity tuple.
 
-    The double loop multiplies (dim+1-p-q) over 1 <= p <= dim-1,
-    1 <= q <= dim-p; the result equals the factorial product
-    1! * 2! * ... * (dim-1)!.
+    The difference product prod_{i<j} (j - i) over 1..dim, which equals
+    the factorial product 1! * 2! * ... * (dim-1)!.
     """
     require_dim(dim)
-    value = 1
-    for p in range(1, dim):
-        for q in range(1, dim - p + 1):
-            value *= dim + 1 - p - q
-    return value
+    return difference_product(range(1, dim + 1))
 
 
 def brute_force_ztransform(dim: int) -> TransformResult:

@@ -170,6 +170,22 @@ class TestModuleEntryPoint:
         assert completed.returncode == EXIT_OK
         assert completed.stdout.strip() == "z1^-1*z2^-2 - z1^-2*z2^-1"
 
+    def test_reader_closing_early_is_not_a_failure(self):
+        # ``zeps emit ... | head -c 20``: a closed pipe is the reader's
+        # choice, not a failed verification (exit 1) or a traceback
+        process = subprocess.Popen(
+            [sys.executable, "-m", "zeps", "emit", "--domain", "s", "--dim", "5",
+             "--format", "json"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        head = process.stdout.read(20)
+        process.stdout.close()
+        err = process.stderr.read()
+        assert process.wait() == EXIT_OK
+        assert head.startswith(b"{")
+        assert err == b""
+
 
 class TestReport:
     def test_unit_step_text(self, capsys):
@@ -295,6 +311,31 @@ class TestLongIntegers:
         data = json.loads(out)
         terms = data["numerator"]["terms"] + data["denominator"]["terms"]
         assert max(len(term["num"]) for term in terms) > 4300
+
+
+class TestDigitCap:
+    # Python caps int-to-str conversion at 4,300 digits; exponent notation
+    # must not get a longer number past it through --T or --point
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "--domain", "z", "--dim", "2", "--point", "1e1000000,1"),
+            ("eval", "--domain", "z", "--dim", "2", "--point", "1e-5000,1"),
+            ("emit", "--domain", "s", "--dim", "2", "--T", "1e1000000"),
+            ("emit", "--domain", "s", "--dim", "2", "--T", "1e5000", "--format", "json"),
+            ("report", "--dim", "2", "--T", "1e5000"),
+            ("report", "--dim", "2", "--T", "9999e4299"),
+        ],
+    )
+    def test_exponent_past_the_cap_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert f"int-to-str cap of {sys.get_int_max_str_digits()}" in err
+
+    def test_exponent_under_the_cap_is_read(self, capsys):
+        code, out, _ = run(capsys, "report", "--dim", "2", "--T", "1e308", "--format", "json")
+        assert code == EXIT_OK
+        assert json.loads(out)["T"] == {"num": 10**308, "den": 1}
 
 
 class TestDimensionWindow:

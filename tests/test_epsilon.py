@@ -129,6 +129,11 @@ class TestEpsilonProduct:
         for idx in enumerate_indices(dim):
             assert epsilon_product(idx) == sign_oracle(idx)
 
+    def test_matches_oracle_on_all_six_dimensional_tuples(self):
+        # 6**6 = 46,656 tuples: one integer product and one division each
+        for idx in enumerate_indices(6):
+            assert epsilon_product(idx) == sign_oracle(idx)
+
     def test_non_integer_product_raises(self, monkeypatch):
         # integer indices always give an integer product; a half-integer
         # index let past validation breaks that, and a raise (unlike an

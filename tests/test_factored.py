@@ -7,12 +7,13 @@ prints must stay within ACCURACY of an exact Gaussian-rational reference.
 
 import contextlib
 import io
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from zeps.algebra import vandermonde
+from zeps.algebra import det, difference_product, vandermonde
 from zeps.cli import main
 from zeps.errors import EvaluationPoleError, InputDomainError, UnsupportedDimensionError
 from zeps.sdomain import TustinParams, factored_laplace_value, laplace_determinant
@@ -212,3 +213,42 @@ def test_eval_builds_no_expanded_form(monkeypatch):
     assert eval_stdout(
         ["eval", "--domain", "s", "--dim", "5", "--T", "1/2", "--point=1/3,1,2,-1,5/2"]
     )
+
+
+def loop_vandermonde(xs) -> complex:
+    """The interleaved loop ``vandermonde`` ran before the difference-product kernel."""
+    values = [complex(x) for x in xs]
+    product = complex(1)
+    for j, x in enumerate(values):
+        product *= x
+        for earlier in values[:j]:
+            product *= x - earlier
+    return product
+
+
+class TestDifferenceProduct:
+    def test_integers_stay_integers(self):
+        value = difference_product(range(1, 6))
+        assert type(value) is int and value == 1 * 2 * 6 * 24
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    def test_matches_power_determinant(self, dim):
+        # det[x_q^r] over r = 1..N is prod x_q times the difference product
+        rng = random.Random(dim)
+        for _ in range(5):
+            xs = rational_point(rng, dim)
+            matrix = [[x**r for x in xs] for r in range(1, dim + 1)]
+            assert difference_product(xs) * math.prod(xs) == det(matrix)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    def test_complex_vandermonde_is_bit_identical_to_the_loop(self, dim):
+        rng = random.Random(100 + dim)
+        specials = (0.0, -0.0, 1e150, -1e-150, 1e-150)
+
+        def part() -> float:
+            return rng.choice(specials) if rng.random() < 0.2 else rng.uniform(-3, 3)
+
+        for _ in range(500):
+            xs = [complex(part(), part()) for _ in range(dim)]
+            got, want = vandermonde(xs), loop_vandermonde(xs)
+            assert repr(got) == repr(want), xs

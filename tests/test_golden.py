@@ -61,8 +61,8 @@ GOLDEN = (
     ("emit --domain s --dim 5 --T 1 --format json", 0, "1dc1e3bfde8edc2781920812389894809920cdab8f61efb17ea0d93f2b40e082"),
     ("report --dim 2 --T 1/2 --format text", 0, "9eb6dd75986a25f0da4cb21b61660345992627bf64f310a82c64db2a83396282"),
     ("report --dim 2 --T 1/2 --format json", 0, "fc78984eb0802d5f3c8d56ef2f78cc21065cd915dad7dacda31c3bbe25b3d875"),
-    ("verify --dim 3 --seed 7 --samples 10", 0, "f9fee03b479c8e29944af6d725968e561e08794ea6f1a60b5e900e8f0cf6998f"),
-    ("verify --dim 4 --T 1,1/2,2,1/3 --seed 7 --samples 5", 0, "aed776222b9bdf01a7e000c38f50a1698b1937aa5918e3cf77584562d5c3dda4"),
+    ("verify --dim 3 --seed 7 --samples 10", 0, "5aa234ab28e6ebaced2bb2dd2e0b42b2fd199266042c907aaabc6efd783462c2"),
+    ("verify --dim 4 --T 1,1/2,2,1/3 --seed 7 --samples 5", 0, "72c8a93a3ec44473c97dc1f91e25947cc4c4992a328c8b3ba02182d098470549"),
     ("eval --domain z --dim 3 --point 2,1/2,3", 0, "ff1be7b47ed40da43241c11f1765230121d657f235479db75fd8bd85f021db2a"),
     ("eval --domain z --dim 3 --point 1+1j,2-0.5j,0.5+2j", 0, "a2563d40915082294a74459c24b277cc4835dc70242ad40a2ec40a977bd474b8"),
     ("eval --domain s --dim 3 --T 1/2,1,2 --point 1/3,-1,3", 0, "07f6703831b8cd390d97dd4b53684cac19f766283dd608960d6d9abc415153e5"),

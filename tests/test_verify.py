@@ -1,10 +1,11 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from zeps.errors import UnsupportedDimensionError
-from zeps.sdomain import TustinParams
+from zeps.sdomain import TustinParams, laplace_determinant
 from zeps.verify import (
     check_determinant_oracle,
     check_epsilon_formulas,
@@ -82,6 +83,20 @@ class TestChecks:
         params = TustinParams(3, (Fraction(1), Fraction(1, 2), Fraction(3)))
         result = check_tustin_consistency(3, params, samples=20, seed=2)
         assert result.passed, result.details
+
+    def test_tustin_check_reports_a_planted_relative_mismatch_of_1e_12(self, monkeypatch):
+        # both routes are exact, so a mismatch far below any float
+        # tolerance is still a failure
+        build = laplace_determinant
+
+        def skewed(dim, params=None):
+            result = build(dim, params)
+            return replace(result, scale=result.scale * Fraction(10**12 + 1, 10**12))
+
+        monkeypatch.setattr("zeps.verify.laplace_determinant", skewed)
+        result = check_tustin_consistency(3, samples=3, seed=1)
+        assert not result.passed
+        assert len(result.details) == 3
 
 
 def test_epsilon_check_rejects_dimension_before_enumerating():
