@@ -43,7 +43,8 @@ def _as_fraction(value) -> Fraction:
 
 
 # Below the smallest digit cap Python allows on int-to-str conversion (640).
-_SHORT_INT = 10**600
+_SHORT_DIGITS = 600
+_SHORT_INT = 10**_SHORT_DIGITS
 
 
 def int_text(n: int) -> str:
@@ -61,6 +62,26 @@ def int_text(n: int) -> str:
     half = n.bit_length() * 3 // 20  # just under half the decimal digits
     high, low = divmod(n, 10**half)
     return int_text(high) + int_text(low).zfill(half)
+
+
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def read_int(text: str) -> int:
+    """The integer that ``int_text`` wrote, of any length.
+
+    Accepts only an optional ``-`` followed by ASCII digits; any other
+    string raises ``ValueError``.  A long digit string is split at a power
+    of ten into pieces that each convert under Python's int-to-str cap.
+    """
+    if not _DECIMAL.fullmatch(text):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    if len(text) <= _SHORT_DIGITS:
+        return int(text)
+    if text[0] == "-":
+        return -read_int(text[1:])
+    low = len(text) // 2
+    return read_int(text[:-low]) * 10**low + read_int(text[-low:])
 
 
 def rational_text(value: Fraction) -> str:
@@ -359,10 +380,10 @@ class LaurentPoly:
         try:
             arity = data["arity"]
             terms = {
-                tuple(entry["exp"]): Fraction(int(entry["num"]), int(entry["den"]))
+                tuple(entry["exp"]): Fraction(read_int(entry["num"]), read_int(entry["den"]))
                 for entry in data["terms"]
             }
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise InputDomainError(f"malformed polynomial JSON: {exc}") from exc
         return cls(arity, terms)
 
@@ -612,9 +633,9 @@ def difference_product(xs: Iterable):
     """prod_{i<j} (x_j - x_i), the Vandermonde product, in O(N^2) operations.
 
     Only ``-`` and ``*`` are applied, so integers stay integers and
-    rationals or complex values keep their type.  Over the identity
-    tuple 1..N it is the Levi-Civita scale 1! 2! ... (N-1)!; over an
-    index tuple it is that scale times the symbol.
+    rationals, complex values or polynomials keep their type.  Over the
+    identity tuple 1..N it is the Levi-Civita scale 1! 2! ... (N-1)!;
+    over an index tuple it is that scale times the symbol.
     """
     values = tuple(xs)
     return math.prod(x - earlier for j, x in enumerate(values) for earlier in values[:j])

@@ -27,6 +27,7 @@ from .algebra import (
     RationalFn,
     ScaledForm,
     det,
+    difference_product,
     json_number,
     latex_number,
     read_rational,
@@ -207,6 +208,26 @@ def laplace_determinant(dim: int, params: TustinParams | None = None) -> Laplace
     ]
     body = RationalFn(det(numerators), _denominator_product(params, dim))
     return LaplaceResult(dim, Fraction(1, scale_constant(dim)), body, params)
+
+
+def factored_laplace(dim: int, params: TustinParams | None = None) -> LaplaceResult:
+    """The Laplace determinant's closed form, expanded from its factors.
+
+    With u_q = 2 - T_q s_q, each entry numerator of ``laplace_determinant``
+    factors like the Z-domain moment sum, and u_j (2 + T_i s_i) -
+    u_i (2 + T_j s_j) = 4 (u_j - u_i), so the numerator determinant is
+    ``scale_constant(dim) * 4**(dim(dim-1)/2)`` times the difference
+    product over (0, u_1, ..., u_dim).  The result equals
+    ``laplace_determinant(dim, params)`` term for term: same scale, same
+    numerator, same pole product.
+    """
+    require_dim(dim, MAX_LAPLACE_DIM)
+    params = _default_params(dim, params)
+    keys = [_linear_factor(dim, q, params.steps[q - 1], -1) for q in range(1, dim + 1)]
+    scale = scale_constant(dim)
+    numerator = scale * 4 ** (dim * (dim - 1) // 2) * difference_product([0, *keys])
+    body = RationalFn(numerator, _denominator_product(params, dim))
+    return LaplaceResult(dim, Fraction(1, scale), body, params)
 
 
 def _bilinear_images(coords: Sequence, params: TustinParams) -> list:

@@ -5,10 +5,11 @@ tensor slot and sums the symbol over all N**N index tuples against
 z_1^{-n_1} ... z_N^{-n_N}.  Because the symbol is a scaled Vandermonde
 product in its indices, that full sum collapses, by multilinearity in
 the columns, to a scaled determinant of power-moment sums
-S(p, q) = sum_{r=1}^{N} r^p z_q^{-r}.  Both routes are built here --
-the brute-force summation as the oracle and the determinant as the
-canonical closed form -- together with a gamma-indexed double-sum
-variant special to three dimensions.
+S(p, q) = sum_{r=1}^{N} r^p z_q^{-r}, and that determinant is itself a
+Vandermonde product in x_q = 1/z_q.  The factored product is expanded
+for output; the brute-force summation, the determinant and a
+gamma-indexed double-sum variant special to three dimensions are the
+paper's routes, kept as independent oracles for it.
 """
 
 from __future__ import annotations
@@ -143,17 +144,34 @@ def brute_force_ztransform(dim: int) -> TransformResult:
 
 
 def determinant_ztransform(dim: int) -> TransformResult:
-    """Canonical closed form: scaled determinant of the moment-sum matrix.
+    """The paper's closed form: scaled determinant of the moment-sum matrix.
 
     Entry (row p, column q) of the dim x dim matrix is s_sum(dim, p, q)
     with p = 0..dim-1 down the rows and q = 1..dim across the columns;
     the determinant divided by ``scale_constant(dim)`` reproduces the
-    brute-force transform exactly.
+    brute-force transform exactly.  Built by cofactor expansion, it is
+    the oracle that ``factored_ztransform`` is checked against.
     """
     require_dim(dim, MAX_DIM)
     matrix = [[s_sum(dim, p, q) for q in range(1, dim + 1)] for p in range(dim)]
     body = det(matrix)
     return TransformResult(dim, Fraction(1, scale_constant(dim)), body, roc(dim))
+
+
+def factored_ztransform(dim: int) -> TransformResult:
+    """The determinant's closed form, expanded from its Vandermonde factors.
+
+    The moment-sum matrix factors as [r^p] times [x_q^r] with x_q = 1/z_q,
+    so its determinant is ``scale_constant(dim)`` times the difference
+    product over (0, x_1, ..., x_dim).  The result equals
+    ``determinant_ztransform(dim)`` term for term, scale included, in
+    O(dim^2) polynomial products instead of a cofactor expansion.
+    """
+    require_dim(dim, MAX_DIM)
+    inverses = [LaurentPoly.variable(dim, q, -1) for q in range(1, dim + 1)]
+    scale = scale_constant(dim)
+    body = scale * difference_product([0, *inverses])
+    return TransformResult(dim, Fraction(1, scale), body, roc(dim))
 
 
 def factored_value(point: Sequence) -> "Fraction | complex":

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from zeps.algebra import LaurentPoly, RationalFn, det
+from zeps.algebra import LaurentPoly, RationalFn, det, int_text, read_int
 from zeps.errors import (
     DegenerateDenominatorError,
     EvaluationPoleError,
@@ -365,6 +365,30 @@ class TestSerialization:
     def test_malformed_json_rejected(self):
         with pytest.raises(InputDomainError):
             LaurentPoly.from_json_dict({"arity": 1})
+
+    def test_read_int_inverts_int_text_past_the_digit_cap(self):
+        rng = random.Random(5)
+        for digits in (1, 599, 600, 601, 4300, 4301, 12345):
+            for sign in (1, -1):
+                n = sign * rng.randrange(10 ** (digits - 1), 10**digits)
+                assert read_int(int_text(n)) == n
+        assert read_int("0") == 0 and read_int("-0") == 0 and read_int("007") == 7
+
+    @pytest.mark.parametrize(
+        "text", ["", "-", "+1", " 1", "1 ", "1_000", "1e5", "0x10", "--1", "\u0661", "12a" * 300]
+    )
+    def test_non_digit_coefficient_rejected(self, text):
+        with pytest.raises(ValueError):
+            read_int(text)
+        data = {"arity": 1, "terms": [{"exp": [0], "num": text, "den": "1"}]}
+        with pytest.raises(InputDomainError):
+            LaurentPoly.from_json_dict(data)
+
+    def test_integer_coefficients_and_zero_denominator_rejected(self):
+        for num, den in ((1, "1"), ("1", "0")):
+            data = {"arity": 1, "terms": [{"exp": [0], "num": num, "den": den}]}
+            with pytest.raises(InputDomainError):
+                LaurentPoly.from_json_dict(data)
 
     def test_text_rendering(self):
         p = P(2, {(-1, -2): 1, (-2, -1): -1})

@@ -312,6 +312,19 @@ class TestLongIntegers:
         terms = data["numerator"]["terms"] + data["denominator"]["terms"]
         assert max(len(term["num"]) for term in terms) > 4300
 
+    @pytest.mark.parametrize("step", ["1e308", "1e500"])
+    def test_json_past_the_digit_cap_reads_back(self, capsys, step):
+        code, out, _ = run(
+            capsys, "emit", "--domain", "s", "--dim", "4", "--T", step, "--format", "json"
+        )
+        assert code == EXIT_OK
+        data = json.loads(out)
+        terms = data["numerator"]["terms"] + data["denominator"]["terms"]
+        assert max(len(term["num"]) for term in terms) > sys.get_int_max_str_digits()
+        rebuilt = RationalFn.from_json_dict(data)
+        body = laplace_determinant(4, TustinParams.uniform(4, step)).body
+        assert rebuilt.num == body.num and rebuilt.den == body.den
+
 
 class TestDigitCap:
     # Python caps int-to-str conversion at 4,300 digits; exponent notation

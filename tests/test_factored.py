@@ -1,11 +1,15 @@
-"""The factored Vandermonde route that ``eval`` takes.
+"""The factored Vandermonde routes that ``emit`` and ``eval`` take.
 
-``factored_value`` and ``factored_laplace_value`` must equal the expanded
-determinants exactly at rational points, and the complex values ``eval``
-prints must stay within ACCURACY of an exact Gaussian-rational reference.
+``factored_ztransform`` and ``factored_laplace`` must equal the
+determinant builders term for term.  ``factored_value`` and
+``factored_laplace_value`` must equal the expanded determinants exactly
+at rational points, and the complex values ``eval`` prints must stay
+within ACCURACY of an exact Gaussian-rational reference.
 """
 
 import contextlib
+import functools
+import hashlib
 import io
 import math
 import random
@@ -16,10 +20,20 @@ import pytest
 from zeps.algebra import det, difference_product, vandermonde
 from zeps.cli import main
 from zeps.errors import EvaluationPoleError, InputDomainError, UnsupportedDimensionError
-from zeps.sdomain import TustinParams, factored_laplace_value, laplace_determinant
-from zeps.ztransform import determinant_ztransform, factored_value
+from zeps.sdomain import (
+    TustinParams, factored_laplace, factored_laplace_value, laplace_determinant,
+)
+from zeps.ztransform import (
+    brute_force_ztransform, determinant_ztransform, factored_value, factored_ztransform,
+)
+
+from test_golden import GOLDEN
 
 ACCURACY = 1e-12  # relative error of complex eval, as README states
+
+# The cofactor builders are the slow oracles here; build each once.
+z_determinant = functools.cache(determinant_ztransform)
+s_determinant = functools.cache(laplace_determinant)
 
 
 def steps(dim: int) -> TustinParams:
@@ -119,10 +133,61 @@ def point_arg(point) -> str:
     return "--point=" + ",".join(f"{c.real!r}{c.imag:+}j" for c in point)
 
 
+class TestFactoredForms:
+    @pytest.mark.parametrize("dim", range(2, 7))
+    def test_z_equals_determinant_term_for_term(self, dim):
+        factored, oracle = factored_ztransform(dim), z_determinant(dim)
+        assert factored.scale == oracle.scale
+        assert factored.body.terms == oracle.body.terms
+        assert factored.expanded() == brute_force_ztransform(dim).expanded()
+
+    @pytest.mark.parametrize("uniform", [True, False], ids=["T=1", "T=1/3,1,5/3"])
+    @pytest.mark.parametrize("dim", range(2, 6))
+    def test_s_equals_determinant_term_for_term(self, dim, uniform):
+        params = TustinParams.uniform(dim) if uniform else steps(dim)
+        factored, oracle = factored_laplace(dim, params), s_determinant(dim, params)
+        assert factored.scale == oracle.scale and factored.params == oracle.params
+        assert factored.body.num.terms == oracle.body.num.terms
+        assert factored.body.den.terms == oracle.body.den.terms
+
+    def test_s_defaults_to_unit_steps(self):
+        assert factored_laplace(2).params == TustinParams.uniform(2)
+
+    def test_dimension_windows(self):
+        with pytest.raises(UnsupportedDimensionError):
+            factored_ztransform(7)
+        with pytest.raises(UnsupportedDimensionError):
+            factored_laplace(6)
+
+
+def test_emit_builds_no_determinant(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("emit built a determinant")
+
+    for name in (
+        "zeps.cli.determinant_ztransform", "zeps.cli.laplace_determinant",
+        "zeps.algebra.det", "zeps.ztransform.det", "zeps.sdomain.det",
+    ):
+        monkeypatch.setattr(name, refuse)
+    digests = {command: digest for command, _, digest in GOLDEN}
+    checked = 0
+    for head in ("emit --domain z --dim 6", "emit --domain s --dim 5 --T 1"):
+        for fmt in ("json", "text", "latex"):
+            command = f"{head} --format {fmt}"
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(command.split()) == 0
+            assert out.getvalue()
+            if command in digests:
+                assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digests[command]
+                checked += 1
+    assert checked == 2
+
+
 class TestExactEquality:
     @pytest.mark.parametrize("dim", range(2, 7))
     def test_z_matches_determinant(self, dim):
-        form = determinant_ztransform(dim)
+        form = z_determinant(dim)
         rng = random.Random(dim)
         for _ in range(4):
             point = rational_point(rng, dim, avoid=lambda q, c: c == 0)
@@ -131,7 +196,7 @@ class TestExactEquality:
     @pytest.mark.parametrize("dim", range(2, 6))
     def test_s_matches_determinant(self, dim):
         params = steps(dim)
-        form = laplace_determinant(dim, params)
+        form = s_determinant(dim, params)
         rng = random.Random(dim)
         for _ in range(3):
             point = rational_point(rng, dim, avoid=lambda q, c: params.steps[q] * c == -2)
