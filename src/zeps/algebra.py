@@ -1,15 +1,23 @@
 """Exact multivariate Laurent polynomials and rational functions.
 
-Coefficients are arbitrary-precision :class:`fractions.Fraction`
-values; exponent vectors are plain integer tuples and may carry
-negative entries.  Floating point enters only at evaluation time, and
-only when the evaluation point itself is inexact.
-
 Variables are positional: a polynomial of arity N has variables
 numbered 1..N, and entry i-1 of each exponent tuple belongs to
-variable i.  Terms are kept in a canonical map (no zero coefficients),
-so two equal polynomials always carry identical term maps; the
-serialization order is graded-lexicographic, highest first.
+variable i.  Floating point enters only at evaluation time, and only
+when the evaluation point itself is inexact.
+
+A :class:`LaurentPoly` is a packed integer kernel: a map from packed
+monomials to integer numerators over one shared positive denominator.
+A monomial's key is its exponent vector read as the balanced digits of
+one integer, sum_i e_i * B^(i-1) with B = 2^bits and every digit in
+[-B/2, B/2), so a monomial product is one integer addition and negative
+exponents need no offset.  The digit width widens with the exponents,
+so any integer exponent packs without wrapping.  The denominator is kept
+coprime to the numerators, so equal polynomials carry identical maps.
+
+The public view is unchanged: ``terms`` reads as a map from exponent
+tuples to nonzero :class:`fractions.Fraction` coefficients, unpacked on
+first use, and the serialization order is graded-lexicographic,
+highest first.
 """
 
 from __future__ import annotations
@@ -19,7 +27,8 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar, Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
+from typing import ClassVar
 
 from .errors import (
     DegenerateDenominatorError,
@@ -139,20 +148,170 @@ def _default_names(arity: int) -> tuple[str, ...]:
     return tuple(f"x{i}" for i in range(1, arity + 1))
 
 
+# A monomial x_1^e_1 ... x_N^e_N is packed into the integer
+# sum_i e_i * 2**(bits*(i-1)): its exponents are the balanced base-2**bits
+# digits, each in [-2**(bits-1), 2**(bits-1)).  Multiplying two monomials
+# adds their keys.  The width starts at 16 bits and doubles as far as the
+# exponents a polynomial can reach require, so no exponent ever wraps.
+_MIN_BITS = 16
+
+
+def _bits_for(reach: int) -> int:
+    """The narrowest digit width whose balanced digits hold every |e| <= reach."""
+    bits = _MIN_BITS
+    while reach >> (bits - 1):
+        bits *= 2
+    return bits
+
+
+def _pack(exponents: Sequence[int], bits: int) -> int:
+    key = 0
+    for e in reversed(exponents):
+        key = (key << bits) + e
+    return key
+
+
+def _digit_columns(keys: Iterable[int], arity: int, bits: int) -> list[list[int]]:
+    """Per variable, its exponent in every key, in the keys' order.
+
+    Adding ``half`` to every digit makes each one an ordinary base-2**bits
+    digit in [0, 2**bits), so all of them are read off with shifts and masks.
+    """
+    half = 1 << (bits - 1)
+    mask = (1 << bits) - 1
+    bias = _pack([half] * arity, bits)
+    biased = [k + bias for k in keys]
+    return [[(t >> shift & mask) - half for t in biased] for shift in range(0, bits * arity, bits)]
+
+
+def _reduce(terms: dict[int, int], den: int) -> tuple[dict[int, int], int]:
+    """Divide out the factor the numerators share with the denominator."""
+    if den != 1:
+        common = math.gcd(den, *terms.values())
+        if common != 1:
+            return {k: c // common for k, c in terms.items()}, den // common
+    return terms, den
+
+
+def _fill(poly, arity: int, terms: dict[int, int], den: int, bits: int, reach: int):
+    for name, value in (
+        ("arity", arity), ("_terms", terms), ("_den", den),
+        ("_bits", bits), ("_reach", reach), ("_view", None),
+    ):
+        object.__setattr__(poly, name, value)
+    return poly
+
+
+def _made(arity: int, terms: dict[int, int], den: int, bits: int, reach: int) -> "LaurentPoly":
+    """A polynomial from a packed map the caller vouches for; nothing is checked."""
+    return _fill(object.__new__(LaurentPoly), arity, terms, den, bits, reach)
+
+
+def _constant(arity: int, value) -> "LaurentPoly":
+    """The constant polynomial for an ``int`` or ``Fraction``."""
+    terms = {0: value.numerator} if value else {}
+    return _made(arity, terms, value.denominator, _MIN_BITS, 0)
+
+
+class TermView(Mapping):
+    """``LaurentPoly.terms``: a read-only map from exponent tuple to ``Fraction``.
+
+    ``len`` reads the packed map.  Anything else unpacks the keys once,
+    and the view keeps what it unpacked for the polynomial's lifetime.
+    """
+
+    __slots__ = ("_poly", "_exponents", "_fractions", "_spans")
+
+    def __init__(self, poly: "LaurentPoly"):
+        self._poly = poly
+        self._exponents = None
+        self._fractions = None
+        self._spans = None
+
+    def _unpack(self) -> None:
+        poly = self._poly
+        columns = _digit_columns(poly._terms, poly.arity, poly._bits)
+        self._exponents = list(zip(*columns))
+        self._spans = [
+            (min(column), max(column), frozenset(column)) if column else (0, 0, frozenset())
+            for column in columns
+        ]
+
+    def exponents(self) -> list[tuple[int, ...]]:
+        """The exponent tuples, in the packed map's order."""
+        if self._exponents is None:
+            self._unpack()
+        return self._exponents
+
+    def spans(self) -> list[tuple[int, int, frozenset]]:
+        """Per variable: lowest exponent, highest exponent, and every exponent seen.
+
+        A variable with no terms reads (0, 0, {}).
+        """
+        if self._spans is None:
+            self._unpack()
+        return self._spans
+
+    def _dict(self) -> dict[tuple[int, ...], Fraction]:
+        if self._fractions is None:
+            den = self._poly._den
+            numerators = self._poly._terms.values()
+            if den == 1:
+                values = map(Fraction, numerators)
+            else:
+                values = (Fraction(c, den) for c in numerators)
+            self._fractions = dict(zip(self.exponents(), values))
+        return self._fractions
+
+    def __len__(self) -> int:
+        return len(self._poly._terms)
+
+    def __getitem__(self, exponents):
+        return self._dict()[exponents]
+
+    def __iter__(self):
+        return iter(self._dict())
+
+    def items(self):
+        return self._dict().items()
+
+    def values(self):
+        return self._dict().values()
+
+    def __eq__(self, other):
+        if isinstance(other, TermView):
+            other = other._dict()
+        return self._dict() == other
+
+    __hash__ = None
+
+    def __repr__(self):
+        return repr(self._dict())
+
+
 class LaurentPoly:
     """Canonical multivariate Laurent polynomial over the rationals.
 
     Instances are immutable values; every operation returns a fresh
     polynomial.  Scalars (``int``/``Fraction``) mix freely on either
     side of ``+``, ``-``, ``*`` and ``==``.
+
+    The value is ``(1/_den) * sum c * x**e`` over ``_terms``, a dict from
+    packed monomials (see ``_pack``, digit width ``_bits``) to nonzero
+    integers ``c``.  ``_den`` is positive and coprime to the ``c``s, so
+    equal polynomials have equal ``(_den, _terms)``.  ``_reach`` bounds
+    every ``|e_i|`` from above, so a product knows before it starts
+    whether its keys fit the width.  The public ``terms`` is a read-only
+    map from exponent tuples to ``Fraction``s, unpacked on first use;
+    ring operations build their results without revalidating them.
     """
 
-    __slots__ = ("arity", "terms")
+    __slots__ = ("arity", "_terms", "_den", "_bits", "_reach", "_view")
 
     def __init__(self, arity: int, terms: Mapping[Sequence[int], object] | None = None):
         if not isinstance(arity, int) or arity < 1:
             raise InputDomainError(f"arity must be a positive integer, got {arity!r}")
-        canonical: dict[tuple[int, ...], Fraction] = {}
+        exact: dict[tuple[int, ...], Fraction] = {}
         for exponents, coeff in (terms or {}).items():
             key = tuple(exponents)
             if len(key) != arity:
@@ -163,9 +322,15 @@ class LaurentPoly:
                 raise InputDomainError(f"exponents must be integers: {key}")
             value = _as_fraction(coeff)
             if value:
-                canonical[key] = value
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "terms", canonical)
+                exact[key] = value
+        den = math.lcm(*(value.denominator for value in exact.values()))
+        reach = max((abs(e) for key in exact for e in key), default=0)
+        bits = _bits_for(reach)
+        packed = {
+            _pack(key, bits): value.numerator * (den // value.denominator)
+            for key, value in exact.items()
+        }
+        _fill(self, arity, packed, den, bits, reach)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly instances are immutable")
@@ -196,15 +361,33 @@ class LaurentPoly:
     # -- structure -------------------------------------------------------
 
     @property
+    def terms(self) -> TermView:
+        """Read-only map from exponent tuple to nonzero ``Fraction`` coefficient."""
+        view = self._view
+        if view is None:
+            view = TermView(self)
+            object.__setattr__(self, "_view", view)
+        return view
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._terms)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         """Terms in graded-lexicographic order, highest first."""
         return sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
+
+    def _at(self, bits: int) -> dict[int, int]:
+        """The packed map with keys at digit width ``bits`` (never narrower)."""
+        if bits == self._bits:
+            return self._terms
+        return {
+            _pack(exponents, bits): c
+            for exponents, c in zip(self.terms.exponents(), self._terms.values())
+        }
 
     # -- ring operations -------------------------------------------------
 
@@ -216,53 +399,80 @@ class LaurentPoly:
                 )
             return other
         if isinstance(other, EXACT_SCALARS):
-            return LaurentPoly.constant(self.arity, other)
+            return _constant(self.arity, other)
         return None
+
+    def _plus(self, rhs: "LaurentPoly", sign: int) -> "LaurentPoly":
+        """``self + sign * rhs`` over the least common denominator."""
+        bits = max(self._bits, rhs._bits)
+        lhs_terms, rhs_terms = self._at(bits), rhs._at(bits)
+        lhs_den, rhs_den = self._den, rhs._den
+        if lhs_den == rhs_den:
+            merged, factor, den = dict(lhs_terms), sign, lhs_den
+        else:
+            common = math.gcd(lhs_den, rhs_den)
+            merged = {k: c * (rhs_den // common) for k, c in lhs_terms.items()}
+            factor, den = sign * (lhs_den // common), lhs_den // common * rhs_den
+        for k, c in rhs_terms.items():
+            total = merged.get(k, 0) + factor * c
+            if total:
+                merged[k] = total
+            else:
+                del merged[k]
+        merged, den = _reduce(merged, den)
+        return _made(self.arity, merged, den, bits, max(self._reach, rhs._reach))
 
     def __add__(self, other):
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        merged = dict(self.terms)
-        for exponents, coeff in rhs.terms.items():
-            total = merged.get(exponents, 0) + coeff
-            if total:
-                merged[exponents] = total
-            elif exponents in merged:
-                del merged[exponents]
-        return LaurentPoly(self.arity, merged)
+        return self._plus(rhs, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly(self.arity, {e: -c for e, c in self.terms.items()})
+        negated = {k: -c for k, c in self._terms.items()}
+        return _made(self.arity, negated, self._den, self._bits, self._reach)
 
     def __sub__(self, other):
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return self + (-rhs)
+        return self._plus(rhs, -1)
 
     def __rsub__(self, other):
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return rhs + (-self)
+        return rhs._plus(self, -1)
 
     def __mul__(self, other):
+        if not isinstance(other, LaurentPoly):
+            if not isinstance(other, EXACT_SCALARS):
+                return NotImplemented
+            if not other:
+                return _constant(self.arity, 0)
+            scaled = {k: c * other.numerator for k, c in self._terms.items()}
+            scaled, den = _reduce(scaled, self._den * other.denominator)
+            return _made(self.arity, scaled, den, self._bits, self._reach)
         rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        product: dict[tuple[int, ...], Fraction] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in rhs.terms.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                total = product.get(key, 0) + ca * cb
+        reach = self._reach + rhs._reach
+        bits = max(self._bits, rhs._bits)
+        if reach >> (bits - 1):
+            bits = _bits_for(reach)
+        rhs_items = list(rhs._at(bits).items())
+        product: dict[int, int] = {}
+        get = product.get
+        for ka, ca in self._at(bits).items():
+            for kb, cb in rhs_items:
+                key = ka + kb
+                total = get(key, 0) + ca * cb
                 if total:
                     product[key] = total
-                elif key in product:
+                else:
                     del product[key]
-        return LaurentPoly(self.arity, product)
+        product, den = _reduce(product, self._den * rhs._den)
+        return _made(self.arity, product, den, bits, reach)
 
     __rmul__ = __mul__
 
@@ -271,7 +481,7 @@ class LaurentPoly:
             raise InputDomainError(
                 f"polynomial powers must be non-negative integers, got {exponent!r}"
             )
-        result = LaurentPoly.constant(self.arity, 1)
+        result = _constant(self.arity, 1)
         base = self
         n = exponent
         while n:
@@ -282,12 +492,17 @@ class LaurentPoly:
         return result
 
     def __eq__(self, other):
-        rhs = self._coerce(other) if not isinstance(other, LaurentPoly) else other
-        if rhs is None:
+        if isinstance(other, LaurentPoly):
+            if other.arity != self.arity:
+                return False
+        elif isinstance(other, EXACT_SCALARS):
+            other = _constant(self.arity, other)
+        else:
             return NotImplemented
-        if isinstance(other, LaurentPoly) and other.arity != self.arity:
+        if self._den != other._den or len(self._terms) != len(other._terms):
             return False
-        return self.terms == rhs.terms
+        bits = max(self._bits, other._bits)
+        return self._at(bits) == other._at(bits)
 
     __hash__ = None
 
@@ -306,17 +521,19 @@ class LaurentPoly:
             raise InputDomainError(
                 f"point has {len(coords)} coordinates, expected {self.arity}"
             )
-        exact = all(isinstance(c, EXACT_SCALARS) for c in coords)
-        for i in range(self.arity):
-            if coords[i] == 0 and any(e[i] < 0 for e in self.terms):
+        spans = self.terms.spans()
+        for i, (low, _, _) in enumerate(spans):
+            if coords[i] == 0 and low < 0:
                 raise EvaluationPoleError(
                     f"variable {i + 1} is zero but occurs with a negative exponent"
                 )
-        bases = [Fraction(c) if exact else complex(c) for c in coords]
-        power_cache: list[dict[int, object]] = [{} for _ in range(self.arity)]
-        total = Fraction(0) if exact else complex(0)
+        if all(isinstance(c, EXACT_SCALARS) for c in coords):
+            return self._exact_value(coords, spans)
+        bases = [complex(c) for c in coords]
+        power_cache: list[dict[int, complex]] = [{} for _ in range(self.arity)]
+        total = complex(0)
         for exponents, coeff in self.terms.items():
-            term = coeff if exact else complex(coeff)
+            term = complex(coeff)
             for i, e in enumerate(exponents):
                 if e == 0:
                     continue
@@ -326,6 +543,33 @@ class LaurentPoly:
                 term = term * cache[e]
             total = total + term
         return total
+
+    def _exact_value(self, coords: Sequence, spans) -> Fraction:
+        """Exact value with denominators cleared: one ``Fraction`` at the end.
+
+        With x_i = a_i/b_i and exponents of x_i in [lo_i, hi_i],
+        x_i^e = a_i^(e-lo_i) b_i^(hi_i-e) * a_i^lo_i / b_i^hi_i, so the
+        sum over terms runs on integers only.
+        """
+        numerator, denominator = 1, self._den
+        weights = []
+        for x, (low, high, seen) in zip(coords, spans):
+            a, b = x.numerator, x.denominator
+            weights.append({e: a ** (e - low) * b ** (high - e) for e in seen})
+            if low < 0:
+                denominator *= a**-low
+            else:
+                numerator *= a**low
+            if high < 0:
+                numerator *= b**-high
+            else:
+                denominator *= b**high
+        total = 0
+        for exponents, c in zip(self.terms.exponents(), self._terms.values()):
+            for weight, e in zip(weights, exponents):
+                c *= weight[e]
+            total += c
+        return Fraction(total * numerator, denominator)
 
     # -- rendering and serialization --------------------------------------
 
@@ -568,23 +812,19 @@ class RationalFn:
 
 def _common_monomial_shift(num: LaurentPoly, den: LaurentPoly) -> tuple[int, ...]:
     """Per-variable exponent of the largest monomial dividing both parts."""
-    arity = num.arity
-    shift = []
-    for i in range(arity):
-        low_num = min(e[i] for e in num.terms)
-        low_den = min(e[i] for e in den.terms)
-        shift.append(min(low_num, low_den))
-    return tuple(shift)
+    return tuple(
+        min(low_num, low_den)
+        for (low_num, _, _), (low_den, _, _) in zip(num.terms.spans(), den.terms.spans())
+    )
 
 
 def _shift_exponents(poly: LaurentPoly, shift: Sequence[int]) -> LaurentPoly:
-    return LaurentPoly(
-        poly.arity,
-        {
-            tuple(e - s for e, s in zip(exponents, shift)): coeff
-            for exponents, coeff in poly.terms.items()
-        },
-    )
+    """``poly`` divided by the monomial ``x**shift``: one key offset per term."""
+    reach = poly._reach + max(abs(s) for s in shift)
+    bits = _bits_for(reach) if reach >> (poly._bits - 1) else poly._bits
+    offset = _pack(shift, bits)
+    shifted = {k - offset: c for k, c in poly._at(bits).items()}
+    return _made(poly.arity, shifted, poly._den, bits, reach)
 
 
 def det(matrix: Sequence[Sequence]):

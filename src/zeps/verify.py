@@ -1,10 +1,12 @@
 """Cross-verification sweeps tying each closed form back to its oracle.
 
 Three checks are exposed: the product closed form against inversion
-parity (exhaustive), the determinant transform against brute-force
-summation (exact polynomial equality), and the Laplace determinant
-against the Z-domain form composed with the bilinear map (exact
-equality at seeded random rational points).  All sampling uses an
+parity (exhaustive); the factored Z-domain form that ``emit`` prints
+against the determinant and brute-force summation (exact polynomial
+equality); and the factored Laplace form against the Laplace
+determinant (exact polynomial equality), with that determinant against
+the Z-domain form composed with the bilinear map (exact equality at
+seeded random rational points).  All sampling uses an
 explicit ``random.Random`` instance so identical seeds reproduce
 identical sweeps everywhere.
 """
@@ -16,11 +18,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .epsilon import enumerate_indices, epsilon_product, sign_oracle
-from .sdomain import TustinParams, laplace_determinant, tustin_map
+from .sdomain import TustinParams, factored_laplace, laplace_determinant, tustin_map
 from .ztransform import (
     MAX_DIM,
     brute_force_ztransform,
     determinant_ztransform,
+    factored_ztransform,
     require_dim,
 )
 
@@ -103,16 +106,24 @@ def check_epsilon_formulas(dim: int) -> CheckResult:
 
 
 def check_determinant_oracle(dim: int) -> CheckResult:
-    """Determinant transform vs brute-force summation, exact equality."""
-    determinant = determinant_ztransform(dim).expanded()
-    brute = brute_force_ztransform(dim).expanded()
-    difference = determinant - brute
-    details = ()
-    if not difference.is_zero:
-        details = (f"{len(difference.terms)} differing monomials",)
+    """Factored form = determinant = brute-force summation, as exact term maps.
+
+    The factored form is the one ``emit`` prints; each form is expanded
+    with its scale folded in before the comparison.
+    """
+    routes = (
+        ("factored", factored_ztransform(dim).expanded()),
+        ("determinant", determinant_ztransform(dim).expanded()),
+        ("brute force", brute_force_ztransform(dim).expanded()),
+    )
+    details = tuple(
+        f"{name_a} and {name_b} differ in {len((form_a - form_b).terms)} monomials"
+        for (name_a, form_a), (name_b, form_b) in zip(routes, routes[1:])
+        if form_a != form_b
+    )
     return CheckResult(
-        name=f"determinant closed form vs brute-force transform, dim={dim}",
-        passed=difference.is_zero,
+        name=f"factored closed form vs determinant vs brute-force transform, dim={dim}",
+        passed=not details,
         details=details,
     )
 
@@ -123,20 +134,28 @@ def check_tustin_consistency(
     samples: int = 100,
     seed: int = 0,
 ) -> CheckResult:
-    """Z-domain form composed with the bilinear map vs the Laplace determinant.
+    """Factored Laplace form vs the Laplace determinant, then the bilinear map.
 
-    Samples exact rational s-points so both routes evaluate with no
-    rounding and are compared for equality: any difference is a true
-    algebraic mismatch.  (The expanded higher-dimensional numerators
-    cancel catastrophically under floating point, which is why no float
-    point is sampled.)
+    The factored form, the one ``emit`` prints, must equal the Laplace
+    determinant term for term: scale, numerator and denominator.  The
+    determinant is then checked against the Z-domain determinant
+    composed with the bilinear map at exact rational s-points, so both
+    routes evaluate with no rounding and are compared for equality: any
+    difference is a true algebraic mismatch.  (The expanded
+    higher-dimensional numerators cancel catastrophically under
+    floating point, which is why no float point is sampled.)
     """
     if params is None:
         params = TustinParams.uniform(dim)
     z_form = determinant_ztransform(dim)
     s_form = laplace_determinant(dim, params)
-    rng = random.Random(seed)
+    factored = factored_laplace(dim, params)
     failures = []
+    if (factored.scale, factored.body.num, factored.body.den) != (
+        s_form.scale, s_form.body.num, s_form.body.den
+    ):
+        failures.append("factored Laplace form differs from the Laplace determinant")
+    rng = random.Random(seed)
     for _ in range(samples):
         s_point = random_rational_s_point(rng, params)
         z_point = tuple(
@@ -148,6 +167,7 @@ def check_tustin_consistency(
             failures.append(f"at s={s_point}: z-route {via_z} vs s-route {via_s}")
     return CheckResult(
         name=(
+            f"factored Laplace form vs Laplace determinant term for term, and "
             f"bilinear substitution consistency, dim={dim}, "
             f"{samples} seeded rational points, exact"
         ),

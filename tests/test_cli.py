@@ -149,6 +149,43 @@ class TestVerify:
         assert "FAIL: forced failure" in out
         assert "mismatch at (1, 2)" in err
 
+    def test_doubled_factored_z_body_fails(self, capsys, monkeypatch):
+        # verify must check the form emit prints, not only its oracles
+        from dataclasses import replace
+
+        from zeps.ztransform import factored_ztransform
+
+        def doubled(dim):
+            result = factored_ztransform(dim)
+            return replace(result, body=2 * result.body)
+
+        monkeypatch.setattr("zeps.verify.factored_ztransform", doubled)
+        code, out, err = run(capsys, "verify", "--dim", "4", "--samples", "2")
+        assert code == EXIT_VERIFY_FAILED
+        assert out.splitlines()[1].startswith("FAIL: factored closed form")
+        assert "factored and determinant differ in 24 monomials" in err
+
+    def test_wrong_power_of_4_in_factored_s_form_fails(self, capsys, monkeypatch):
+        from dataclasses import replace
+
+        from zeps.algebra import RationalFn
+        from zeps.sdomain import factored_laplace
+
+        def off_by_a_power(dim, params=None):
+            result = factored_laplace(dim, params)
+            if dim != 4:
+                return result
+            body = RationalFn(4 * result.body.num, result.body.den)
+            return replace(result, body=body)
+
+        monkeypatch.setattr("zeps.verify.factored_laplace", off_by_a_power)
+        code, out, err = run(capsys, "verify", "--dim", "4", "--samples", "2")
+        assert code == EXIT_VERIFY_FAILED
+        assert out.splitlines()[2].startswith("FAIL: factored Laplace form")
+        assert "factored Laplace form differs" in err
+        code, _, _ = run(capsys, "verify", "--dim", "3", "--samples", "2")
+        assert code == EXIT_OK
+
     def test_bad_samples_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--dim", "2", "--samples", "0"])

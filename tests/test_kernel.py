@@ -1,0 +1,196 @@
+"""Property tests of the packed ``LaurentPoly`` kernel against a naive reference.
+
+The reference keeps terms the obvious way, as a dict from exponent tuple
+to ``Fraction``, and shares no code with ``zeps.algebra``.  Exponents
+include the edges of each packing width and values of +-10**6 and beyond,
+so a key that wrapped or a digit read back wrong shows up as a term
+mismatch.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from zeps.algebra import LaurentPoly
+from zeps.errors import EvaluationPoleError
+
+WIDE = [
+    10**6, -(10**6), 2**15 - 1, -(2**15), 2**15, -(2**15) - 1,
+    2**31 - 1, -(2**31), 2**31, 2**63, -(2**64) - 3, 10**30,
+]
+EXPONENTS = st.one_of(st.integers(-4, 4), st.sampled_from(WIDE))
+COEFFS = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 6))
+PROPERTY = settings(max_examples=60, deadline=None)
+
+
+def ref_clean(terms):
+    return {e: c for e, c in terms.items() if c}
+
+
+def ref_add(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return ref_clean(out)
+
+
+def ref_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return ref_clean(out)
+
+
+def ref_value(terms, point):
+    total = Fraction(0)
+    for exponents, coeff in terms.items():
+        term = coeff
+        for x, e in zip(point, exponents):
+            term *= Fraction(x) ** e
+        total += term
+    return total
+
+
+@st.composite
+def term_maps(draw, arity, exponents=EXPONENTS):
+    size = draw(st.integers(0, 5))
+    return {
+        tuple(draw(exponents) for _ in range(arity)): draw(COEFFS)
+        for _ in range(size)
+    }
+
+
+@st.composite
+def pairs(draw, exponents=EXPONENTS):
+    arity = draw(st.integers(1, 3))
+    return arity, draw(term_maps(arity, exponents)), draw(term_maps(arity, exponents))
+
+
+@PROPERTY
+@given(pairs())
+def test_terms_read_back_what_the_constructor_was_given(case):
+    arity, given_terms, _ = case
+    poly = LaurentPoly(arity, given_terms)
+    expected = ref_clean(given_terms)
+    assert len(poly.terms) == len(expected)
+    assert dict(poly.terms) == expected
+    assert poly.terms == expected
+    for exponents, coeff in poly.terms.items():
+        assert type(exponents) is tuple and all(type(e) is int for e in exponents)
+        assert type(coeff) is Fraction and coeff == expected[exponents]
+    assert LaurentPoly(arity, poly.terms) == poly
+
+
+@PROPERTY
+@given(pairs())
+def test_ring_operations_match_the_reference(case):
+    arity, ta, tb = case
+    a, b = LaurentPoly(arity, ta), LaurentPoly(arity, tb)
+    ra, rb = ref_clean(ta), ref_clean(tb)
+    assert dict((a + b).terms) == ref_add(ra, rb)
+    assert dict((a - b).terms) == ref_add(ra, rb, -1)
+    assert dict((-a).terms) == {e: -c for e, c in ra.items()}
+    assert dict((a * b).terms) == ref_mul(ra, rb)
+
+
+@PROPERTY
+@given(pairs(), COEFFS, st.integers(-3, 3))
+def test_scalar_mixing_matches_the_reference(case, scalar, whole):
+    arity, ta, _ = case
+    a, ra = LaurentPoly(arity, ta), ref_clean(ta)
+    one = {(0,) * arity: Fraction(1)}
+    assert dict((scalar * a).terms) == ref_mul(ra, {(0,) * arity: scalar} if scalar else {})
+    assert dict((a * whole).terms) == ref_mul(ra, {(0,) * arity: Fraction(whole)} if whole else {})
+    assert dict((a + scalar).terms) == ref_add(ra, {k: scalar * c for k, c in one.items()})
+    assert dict((whole - a).terms) == ref_add({k: whole * c for k, c in one.items()}, ra, -1)
+
+
+@PROPERTY
+@given(pairs(exponents=st.one_of(st.integers(-3, 3), st.sampled_from([10**6, -(10**6), 2**15]))),
+       st.integers(0, 3))
+def test_powers_match_repeated_reference_products(case, n):
+    arity, ta, _ = case
+    expected = {(0,) * arity: Fraction(1)}
+    for _ in range(n):
+        expected = ref_mul(expected, ref_clean(ta))
+    assert dict((LaurentPoly(arity, ta) ** n).terms) == expected
+
+
+@PROPERTY
+@given(pairs())
+def test_equality_is_value_equality(case):
+    arity, ta, tb = case
+    a, b = LaurentPoly(arity, ta), LaurentPoly(arity, tb)
+    assert (a == b) == (ref_clean(ta) == ref_clean(tb))
+    assert a + b - b == a
+    assert (a * b == b * a) and (a + b == b + a)
+    # a product that had to widen its digits still equals the narrow original
+    wide = LaurentPoly.monomial(arity, (10**6,) * arity)
+    narrow_back = LaurentPoly.monomial(arity, (-(10**6),) * arity)
+    assert a * wide * narrow_back == a
+    assert (a == 0) == (not ref_clean(ta))
+
+
+@PROPERTY
+@given(pairs(), st.data())
+def test_mixed_denominator_sums_cancel_to_zero(case, data):
+    arity, ta, _ = case
+    parts = []
+    for exponents, coeff in ref_clean(ta).items():
+        cut = data.draw(COEFFS)
+        parts.append({exponents: cut})
+        parts.append({exponents: coeff - cut})
+        parts.append({exponents: -coeff})
+    total = LaurentPoly.zero(arity)
+    for part in parts:
+        total = total + LaurentPoly(arity, part)
+    assert total.is_zero and not total.terms and total.terms == {}
+    assert total == LaurentPoly.zero(arity) and total == 0
+    assert total.to_text() == "0"
+    a = LaurentPoly(arity, ta)
+    scale = data.draw(COEFFS.filter(bool))
+    assert (a * scale) * (1 / scale) == a
+    assert (a * scale - a * scale).terms == {}
+
+
+@PROPERTY
+@given(pairs(), st.data())
+def test_exact_evaluation_matches_the_reference(case, data):
+    arity, ta, _ = case
+    small = {e: c for e, c in ta.items() if all(abs(x) <= 4 for x in e)}
+    point = tuple(data.draw(COEFFS.filter(bool)) for _ in range(arity))
+    value = LaurentPoly(arity, small).evaluate(point)
+    assert type(value) is Fraction
+    assert value == ref_value(small, point)
+
+
+@PROPERTY
+@given(st.integers(1, 3), st.data())
+def test_exact_evaluation_with_zero_coordinates(arity, data):
+    terms = data.draw(term_maps(arity, st.integers(0, 4)))
+    point = tuple(data.draw(st.sampled_from([0, 1, -2, Fraction(1, 3)])) for _ in range(arity))
+    assert LaurentPoly(arity, terms).evaluate(point) == ref_value(ref_clean(terms), point)
+
+
+def test_huge_exponents_evaluate_exactly_at_unit_points():
+    poly = LaurentPoly(2, {(10**6, -(10**6)): Fraction(3, 4), (-(2**63), 5): 2})
+    assert poly.evaluate((1, -1)) == Fraction(3, 4) - 2
+    assert poly.evaluate((-1, 1)) == Fraction(3, 4) + 2
+
+
+def test_terms_view_is_read_only():
+    poly = LaurentPoly(2, {(1, -1): Fraction(1, 2)})
+    with pytest.raises(TypeError):
+        poly.terms[(0, 0)] = 1
+    with pytest.raises(AttributeError):
+        poly.terms = {}
+    assert poly.terms == {(1, -1): Fraction(1, 2)}
+
+
+def test_pole_at_zero_with_negative_exponent():
+    with pytest.raises(EvaluationPoleError):
+        LaurentPoly(2, {(0, -(10**6)): 1}).evaluate((1, 0))

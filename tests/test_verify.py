@@ -96,7 +96,9 @@ class TestChecks:
         monkeypatch.setattr("zeps.verify.laplace_determinant", skewed)
         result = check_tustin_consistency(3, samples=3, seed=1)
         assert not result.passed
-        assert len(result.details) == 3
+        # the factored form no longer matches either, and every point fails
+        assert result.details[0] == "factored Laplace form differs from the Laplace determinant"
+        assert sum(line.startswith("at s=") for line in result.details) == 3
 
 
 def test_epsilon_check_rejects_dimension_before_enumerating():
