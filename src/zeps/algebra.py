@@ -278,13 +278,6 @@ class TermView(Mapping):
     def values(self):
         return self._dict().values()
 
-    def __eq__(self, other):
-        if isinstance(other, TermView):
-            other = other._dict()
-        return self._dict() == other
-
-    __hash__ = None
-
     def __repr__(self):
         return repr(self._dict())
 
