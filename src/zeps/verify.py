@@ -150,12 +150,12 @@ def check_tustin_consistency(
     z_form = determinant_ztransform(dim)
     s_form = laplace_determinant(dim, params)
     factored = factored_laplace(dim, params)
+    rng = random.Random(seed)
     failures = []
     if (factored.scale, factored.body.num, factored.body.den) != (
         s_form.scale, s_form.body.num, s_form.body.den
     ):
         failures.append("factored Laplace form differs from the Laplace determinant")
-    rng = random.Random(seed)
     for _ in range(samples):
         s_point = random_rational_s_point(rng, params)
         z_point = tuple(

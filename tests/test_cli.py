@@ -1,13 +1,14 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 from zeps.algebra import LaurentPoly, RationalFn
 from zeps.cli import EXIT_EVALUATION, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, main
-from zeps.sdomain import TustinParams, laplace_determinant
-from zeps.ztransform import determinant_ztransform
+from zeps.sdomain import TustinParams, factored_laplace, laplace_determinant
+from zeps.ztransform import determinant_ztransform, factored_ztransform
 
 
 def run(capsys, *argv):
@@ -151,10 +152,6 @@ class TestVerify:
 
     def test_doubled_factored_z_body_fails(self, capsys, monkeypatch):
         # verify must check the form emit prints, not only its oracles
-        from dataclasses import replace
-
-        from zeps.ztransform import factored_ztransform
-
         def doubled(dim):
             result = factored_ztransform(dim)
             return replace(result, body=2 * result.body)
@@ -166,11 +163,6 @@ class TestVerify:
         assert "factored and determinant differ in 24 monomials" in err
 
     def test_wrong_power_of_4_in_factored_s_form_fails(self, capsys, monkeypatch):
-        from dataclasses import replace
-
-        from zeps.algebra import RationalFn
-        from zeps.sdomain import factored_laplace
-
         def off_by_a_power(dim, params=None):
             result = factored_laplace(dim, params)
             if dim != 4:
