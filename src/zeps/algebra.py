@@ -1,4 +1,5 @@
-"""Exact multivariate Laurent polynomials and rational functions.
+"""Exact multivariate Laurent polynomials, and the numerator/denominator
+pair that carries a Laplace-domain body.
 
 Variables are positional: a polynomial of arity N has variables
 numbered 1..N, and entry i-1 of each exponent tuple belongs to
@@ -630,134 +631,34 @@ class LaurentPoly:
     __str__ = to_text
 
 
+@dataclass(frozen=True)
 class RationalFn:
-    """Quotient of two Laurent polynomials, kept unreduced.
+    """A Laplace-domain body: numerator ``num`` over denominator ``den``.
 
-    There is no gcd normal form; equality is decided by
-    cross-multiplication.  The only simplification applied is the
-    cancellation of a common monomial factor (a unit of the Laurent
-    ring), which keeps repeated arithmetic from drifting into deep
-    exponents.  Addition recognizes operands with identical
-    denominators and sums numerators directly, so determinant
-    accumulation over a column-structured matrix keeps one shared
-    denominator instead of squaring it at every step.
+    An immutable pair, kept as built: no arithmetic, no normal form.
+    Equality compares numerator and denominator term for term, so two
+    quotients equal as functions but written over different
+    denominators compare unequal.
     """
 
-    __slots__ = ("num", "den")
+    num: LaurentPoly
+    den: LaurentPoly
 
-    def __init__(self, num: LaurentPoly, den: LaurentPoly | None = None):
-        if not isinstance(num, LaurentPoly):
+    def __post_init__(self):
+        if not isinstance(self.num, LaurentPoly):
             raise InputDomainError("numerator must be a LaurentPoly")
-        if den is None:
-            den = LaurentPoly.constant(num.arity, 1)
-        if not isinstance(den, LaurentPoly):
+        if not isinstance(self.den, LaurentPoly):
             raise InputDomainError("denominator must be a LaurentPoly")
-        if num.arity != den.arity:
+        if self.num.arity != self.den.arity:
             raise InputDomainError(
-                f"arity mismatch: {num.arity} vs {den.arity}"
+                f"arity mismatch: {self.num.arity} vs {self.den.arity}"
             )
-        if den.is_zero:
+        if self.den.is_zero:
             raise DegenerateDenominatorError("denominator is identically zero")
-        if num.is_zero:
-            den = LaurentPoly.constant(num.arity, 1)
-        else:
-            shift = _common_monomial_shift(num, den)
-            if any(shift):
-                num = _shift_exponents(num, shift)
-                den = _shift_exponents(den, shift)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalFn instances are immutable")
 
     @property
     def arity(self) -> int:
         return self.num.arity
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    # -- constructors ----------------------------------------------------
-
-    @classmethod
-    def zero(cls, arity: int) -> "RationalFn":
-        return cls(LaurentPoly.zero(arity))
-
-    @classmethod
-    def constant(cls, arity: int, value) -> "RationalFn":
-        return cls(LaurentPoly.constant(arity, value))
-
-    # -- field operations -------------------------------------------------
-
-    def _coerce(self, other) -> "RationalFn | None":
-        if isinstance(other, RationalFn):
-            if other.arity != self.arity:
-                raise InputDomainError(
-                    f"arity mismatch: {self.arity} vs {other.arity}"
-                )
-            return other
-        if isinstance(other, LaurentPoly):
-            return RationalFn(other)
-        if isinstance(other, EXACT_SCALARS):
-            return RationalFn.constant(self.arity, other)
-        return None
-
-    def __add__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        if self.den == rhs.den:
-            return RationalFn(self.num + rhs.num, self.den)
-        return RationalFn(
-            self.num * rhs.den + rhs.num * self.den, self.den * rhs.den
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFn(-self.num, self.den)
-
-    def __sub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
-
-    def __rsub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs + (-self)
-
-    def __mul__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return RationalFn(self.num * rhs.num, self.den * rhs.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        if rhs.num.is_zero:
-            raise DegenerateDenominatorError("division by the zero rational function")
-        return RationalFn(self.num * rhs.den, self.den * rhs.num)
-
-    def __eq__(self, other):
-        if isinstance(other, (RationalFn, LaurentPoly)) and other.arity != self.arity:
-            return False
-        rhs = self._coerce(other) if not isinstance(other, RationalFn) else other
-        if rhs is None:
-            return NotImplemented
-        return (self.num * rhs.den - rhs.num * self.den).is_zero
-
-    __hash__ = None
-
-    # -- evaluation ------------------------------------------------------
 
     def evaluate(self, point: Sequence) -> "Fraction | complex":
         """Exact or complex value of num/den at ``point``."""
@@ -797,36 +698,16 @@ class RationalFn:
             raise InputDomainError(f"malformed rational-function JSON: {exc}") from exc
         return cls(num, den)
 
-    def __repr__(self):
-        return f"RationalFn({self.to_text()})"
-
     __str__ = to_text
-
-
-def _common_monomial_shift(num: LaurentPoly, den: LaurentPoly) -> tuple[int, ...]:
-    """Per-variable exponent of the largest monomial dividing both parts."""
-    return tuple(
-        min(low_num, low_den)
-        for (low_num, _, _), (low_den, _, _) in zip(num.terms.spans(), den.terms.spans())
-    )
-
-
-def _shift_exponents(poly: LaurentPoly, shift: Sequence[int]) -> LaurentPoly:
-    """``poly`` divided by the monomial ``x**shift``: one key offset per term."""
-    reach = poly._reach + max(abs(s) for s in shift)
-    bits = _bits_for(reach) if reach >> (poly._bits - 1) else poly._bits
-    offset = _pack(shift, bits)
-    shifted = {k - offset: c for k, c in poly._at(bits).items()}
-    return _made(poly.arity, shifted, poly._den, bits, reach)
 
 
 def det(matrix: Sequence[Sequence]):
     """Determinant of a small square matrix of ring elements.
 
     Works for any elements supporting ``+``, unary ``-`` and ``*``
-    (here: :class:`LaurentPoly` or :class:`RationalFn`).  Uses cofactor
-    expansion with memoization over column subsets, so each minor is
-    computed once.  The side is capped at ``MAX_DET_SIDE``.
+    (here: :class:`LaurentPoly`).  Uses cofactor expansion with
+    memoization over column subsets, so each minor is computed once.
+    The side is capped at ``MAX_DET_SIDE``.
     """
     n = len(matrix)
     if n == 0 or any(len(row) != n for row in matrix):

@@ -272,7 +272,7 @@ def laplace_2d_closed(params: TustinParams) -> LaplaceResult:
 
         4T (s1 - s2) (T s1 - 2)(T s2 - 2) / ((T s1 + 2)^2 (T s2 + 2)^2)
 
-    Cross-multiplication-equal to ``laplace_determinant(2, params)``.
+    Equal to the body of ``laplace_determinant(2, params)`` term for term.
     """
     if params.dim != 2:
         raise InputDomainError(f"closed 2-D form needs dimension 2, got {params.dim}")

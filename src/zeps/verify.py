@@ -5,8 +5,9 @@ parity (exhaustive); the factored Z-domain form that ``emit`` prints
 against the determinant and brute-force summation (exact polynomial
 equality); and the factored Laplace form against the Laplace
 determinant (exact polynomial equality), with that determinant against
-the Z-domain form composed with the bilinear map (exact equality at
-seeded random rational points).  All sampling uses an
+the Z-domain form composed with the bilinear map and against both
+factored routes that ``eval`` takes (exact equality at seeded random
+rational points).  All sampling uses an
 explicit ``random.Random`` instance so identical seeds reproduce
 identical sweeps everywhere.
 """
@@ -18,11 +19,18 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .epsilon import enumerate_indices, epsilon_product, sign_oracle
-from .sdomain import TustinParams, factored_laplace, laplace_determinant, tustin_map
+from .sdomain import (
+    TustinParams,
+    factored_laplace,
+    factored_laplace_value,
+    laplace_determinant,
+    tustin_map,
+)
 from .ztransform import (
     MAX_DIM,
     brute_force_ztransform,
     determinant_ztransform,
+    factored_value,
     factored_ztransform,
     require_dim,
 )
@@ -141,9 +149,12 @@ def check_tustin_consistency(
     determinant is then checked against the Z-domain determinant
     composed with the bilinear map at exact rational s-points, so both
     routes evaluate with no rounding and are compared for equality: any
-    difference is a true algebraic mismatch.  (The expanded
-    higher-dimensional numerators cancel catastrophically under
-    floating point, which is why no float point is sampled.)
+    difference is a true algebraic mismatch.  At each point the two
+    values ``eval`` prints, ``factored_value`` at the mapped z-point and
+    ``factored_laplace_value`` at the s-point, must equal them too; a
+    failing point gives one detail line with all four values.  (The
+    expanded higher-dimensional numerators cancel catastrophically
+    under floating point, which is why no float point is sampled.)
     """
     if params is None:
         params = TustinParams.uniform(dim)
@@ -152,9 +163,7 @@ def check_tustin_consistency(
     factored = factored_laplace(dim, params)
     rng = random.Random(seed)
     failures = []
-    if (factored.scale, factored.body.num, factored.body.den) != (
-        s_form.scale, s_form.body.num, s_form.body.den
-    ):
+    if factored != s_form:
         failures.append("factored Laplace form differs from the Laplace determinant")
     for _ in range(samples):
         s_point = random_rational_s_point(rng, params)
@@ -163,8 +172,13 @@ def check_tustin_consistency(
         )
         via_z = z_form.evaluate(z_point)
         via_s = s_form.evaluate(s_point)
-        if via_z != via_s:
-            failures.append(f"at s={s_point}: z-route {via_z} vs s-route {via_s}")
+        eval_z = factored_value(z_point)
+        eval_s = factored_laplace_value(s_point, params)
+        if not via_z == via_s == eval_z == eval_s:
+            failures.append(
+                f"at s={s_point}: z-route {via_z} vs s-route {via_s}; "
+                f"eval's z-route {eval_z}, s-route {eval_s}"
+            )
     return CheckResult(
         name=(
             f"factored Laplace form vs Laplace determinant term for term, and "

@@ -260,54 +260,35 @@ class TestDeterminant:
 
 
 class TestRationalFn:
-    def s_var(self, q):
-        return LaurentPoly.variable(1, 1) if q == 1 else None
-
     def test_zero_denominator_rejected(self):
         with pytest.raises(DegenerateDenominatorError):
             RationalFn(LaurentPoly.constant(1, 1), LaurentPoly.zero(1))
 
-    def test_add_zero_is_identity(self):
+    def test_equality_is_term_for_term_on_both_parts(self):
         s = LaurentPoly.variable(1, 1)
-        a = RationalFn(s + 1, s + 2)
-        assert a + RationalFn.zero(1) == a
+        two = LaurentPoly.constant(1, 2)
+        one = LaurentPoly.constant(1, 1)
+        assert RationalFn(s, one) == RationalFn(LaurentPoly.variable(1, 1), one)
+        # equal as functions, but written over different denominators
+        assert RationalFn(2 * s, two) != RationalFn(s, one)
+        assert RationalFn(s * s, s) != RationalFn(s, one)
+        assert RationalFn(s, one) != s
 
-    def test_square_of_simple_pole(self):
+    def test_is_an_immutable_pair(self):
         s = LaurentPoly.variable(1, 1)
-        one_over = RationalFn(LaurentPoly.constant(1, 1), s + 1)
-        assert one_over * one_over == RationalFn(
-            LaurentPoly.constant(1, 1), (s + 1) ** 2
-        )
+        f = RationalFn(s - 1, s + 1)
+        assert (f.num, f.den) == (s - 1, s + 1)
+        with pytest.raises(AttributeError):
+            f.num = s
 
-    def test_cross_multiplication_equality(self):
-        z = LaurentPoly.variable(1, 1)
-        assert RationalFn(z - 1, z * z - z) == RationalFn(
-            LaurentPoly.constant(1, 1), z
-        )
-
-    def test_equality_is_reflexive_and_respects_common_factor(self):
-        rng = random.Random(5)
-        for _ in range(50):
-            num = random_poly(rng, 2)
-            den = random_poly(rng, 2) + 1
-            factor = random_poly(rng, 2) + P(2, {(1, 1): 1})
-            a = RationalFn(num, den)
-            b = RationalFn(num * factor, den * factor)
-            assert a == a
-            assert a == b and b == a
-
-    def test_equality_transitive_on_samples(self):
-        z = LaurentPoly.variable(1, 1)
-        a = RationalFn(z - 1, z * z - z)
-        b = RationalFn(LaurentPoly.constant(1, 1), z)
-        c = RationalFn(z, z * z)
-        assert a == b and b == c and a == c
-
-    def test_shared_denominator_addition_keeps_denominator(self):
+    def test_rejects_non_polynomial_parts(self):
         s = LaurentPoly.variable(1, 1)
-        den = (s + 2) ** 2
-        total = RationalFn(s, den) + RationalFn(s + 1, den)
-        assert total.den == den
+        with pytest.raises(TypeError):
+            RationalFn(s)  # the denominator is required
+        with pytest.raises(InputDomainError):
+            RationalFn(1, s)
+        with pytest.raises(InputDomainError):
+            RationalFn(s, LaurentPoly.variable(2, 1))
 
     def test_evaluate(self):
         s = LaurentPoly.variable(1, 1)
@@ -315,24 +296,6 @@ class TestRationalFn:
         assert f.evaluate((3,)) == Fraction(1, 2)
         with pytest.raises(EvaluationPoleError):
             f.evaluate((-1,))
-
-    def test_truediv(self):
-        s = LaurentPoly.variable(1, 1)
-        f = RationalFn(s, s + 1)
-        assert f / f == RationalFn.constant(1, 1)
-        with pytest.raises(DegenerateDenominatorError):
-            f / RationalFn.zero(1)
-
-    def test_monomial_cancellation_normalizes(self):
-        z = LaurentPoly.variable(1, 1)
-        f = RationalFn(z**3 + z**2, z**2)
-        assert f.num == z + 1 and f.den == LaurentPoly.constant(1, 1)
-
-    @given(polys(1), polys(1))
-    def test_equality_invariant_under_unit_monomials(self, num, den):
-        den = den + 1
-        unit = LaurentPoly.monomial(1, (-2,), Fraction(3, 2))
-        assert RationalFn(num, den) == RationalFn(num * unit, den * unit)
 
 
 class TestSerialization:

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+import zeps.verify
 from zeps.algebra import LaurentPoly, RationalFn
 from zeps.cli import EXIT_EVALUATION, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, main
 from zeps.sdomain import TustinParams, factored_laplace, laplace_determinant
@@ -177,6 +178,16 @@ class TestVerify:
         assert "factored Laplace form differs" in err
         code, _, _ = run(capsys, "verify", "--dim", "3", "--samples", "2")
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize("route", ["factored_value", "factored_laplace_value"])
+    def test_doubled_eval_route_fails(self, capsys, monkeypatch, route):
+        # verify must also check the values eval prints, route by route
+        true_route = getattr(zeps.verify, route)
+        monkeypatch.setattr(f"zeps.verify.{route}", lambda *args: 2 * true_route(*args))
+        code, out, err = run(capsys, "verify", "--dim", "4", "--samples", "2")
+        assert code == EXIT_VERIFY_FAILED
+        assert out.splitlines()[2].startswith("FAIL: factored Laplace form")
+        assert err.count("    at s=") == 2
 
     def test_bad_samples_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -21,7 +21,8 @@ from zeps.algebra import det, difference_product, vandermonde
 from zeps.cli import main
 from zeps.errors import EvaluationPoleError, InputDomainError, UnsupportedDimensionError
 from zeps.sdomain import (
-    TustinParams, factored_laplace, factored_laplace_value, laplace_determinant,
+    TustinParams, factored_laplace, factored_laplace_value, laplace_2d_closed,
+    laplace_determinant, r_sum,
 )
 from zeps.ztransform import (
     brute_force_ztransform, determinant_ztransform, factored_value, factored_ztransform,
@@ -149,6 +150,24 @@ class TestFactoredForms:
         assert factored.scale == oracle.scale and factored.params == oracle.params
         assert factored.body.num.terms == oracle.body.num.terms
         assert factored.body.den.terms == oracle.body.den.terms
+
+    @pytest.mark.parametrize("uniform", [True, False], ids=["T=1", "T=1/3,1,5/3"])
+    @pytest.mark.parametrize("dim", range(2, 6))
+    def test_s_bodies_have_no_monomial_factor_to_cancel(self, dim, uniform):
+        # RationalFn keeps both parts as built.  Dividing out the largest
+        # monomial common to them would change nothing here: no exponent
+        # is negative, and every denominator has a nonzero constant term.
+        params = TustinParams.uniform(dim) if uniform else steps(dim)
+        bodies = [factored_laplace(dim, params).body, s_determinant(dim, params).body]
+        bodies += [r_sum(dim, p, q, params) for p in range(dim) for q in range(1, dim + 1)]
+        if dim == 2 and uniform:
+            bodies += [
+                laplace_2d_closed(TustinParams.uniform(2, t)).body for t in (1, Fraction(2, 3))
+            ]
+        for body in bodies:
+            exponents = [*body.num.terms, *body.den.terms]
+            assert min(e for exps in exponents for e in exps) == 0
+            assert body.den.terms.get((0,) * dim, 0) != 0
 
     def test_s_defaults_to_unit_steps(self):
         assert factored_laplace(2).params == TustinParams.uniform(2)

@@ -148,11 +148,12 @@ class TestLaplaceDeterminant:
         assert result.body == closed_form_2d(step)
 
     def test_entry_combination_matches_closed_form(self):
-        # the 2x2 determinant written out entry by entry
+        # the 2x2 determinant written out entry by entry: column q of the
+        # matrix shares the denominator (2 + s_q)^2
         params = TustinParams.uniform(2)
-        combination = r_sum(2, 0, 1, params) * r_sum(2, 1, 2, params) - r_sum(
-            2, 1, 1, params
-        ) * r_sum(2, 0, 2, params)
+        r01, r02 = r_sum(2, 0, 1, params), r_sum(2, 0, 2, params)
+        r11, r12 = r_sum(2, 1, 1, params), r_sum(2, 1, 2, params)
+        combination = RationalFn(r01.num * r12.num - r11.num * r02.num, r01.den * r12.den)
         assert combination == closed_form_2d(Fraction(1))
 
     def test_vanishes_at_origin(self):
