@@ -743,6 +743,16 @@ def det(matrix: Sequence[Sequence]):
     return minor(tuple(range(n)))
 
 
+def differences(xs: Iterable) -> list:
+    """The factors x_j - x_i of the difference product, pairs i < j ordered by j then i.
+
+    Only ``-`` is applied, so every factor keeps its inputs' type.  Two
+    tuples of the same length give their factors pair for pair.
+    """
+    values = tuple(xs)
+    return [x - earlier for j, x in enumerate(values) for earlier in values[:j]]
+
+
 def difference_product(xs: Iterable):
     """prod_{i<j} (x_j - x_i), the Vandermonde product, in O(N^2) operations.
 
@@ -751,8 +761,7 @@ def difference_product(xs: Iterable):
     identity tuple 1..N it is the Levi-Civita scale 1! 2! ... (N-1)!;
     over an index tuple it is that scale times the symbol.
     """
-    values = tuple(xs)
-    return math.prod(x - earlier for j, x in enumerate(values) for earlier in values[:j])
+    return math.prod(differences(xs))
 
 
 def vandermonde(xs: Sequence) -> "Fraction | complex":

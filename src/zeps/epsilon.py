@@ -9,8 +9,8 @@ provides three independent routes to those values:
 * ``epsilon_product`` evaluates the exact double-product closed form
   (a Vandermonde product over the indices divided by the same product
   at the identity tuple) in integer arithmetic;
-* ``epsilon_generalized`` drives that ratio through an arbitrary
-  injective value table instead of the identity map.
+* ``epsilon_generalized`` drives that ratio, factor by factor, through
+  an arbitrary injective value table instead of the identity map.
 
 A gamma-function expression for the Kronecker delta on {1,2,3} lives
 here too, since the compact three-dimensional transform is indexed
@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterator, Sequence
 
-from .algebra import EXACT_SCALARS, difference_product
+from .algebra import EXACT_SCALARS, difference_product, differences
 from .errors import (
     DegenerateDenominatorError,
     IdentityViolationError,
@@ -91,9 +91,10 @@ def epsilon_generalized(indices: Sequence[int], values: Sequence) -> "Fraction |
     """Symbol value with index differences replaced by table differences.
 
     ``values`` supplies an injective map g on {1..N} (entry k-1 holds
-    g(k)); the result is
-    prod (g(n_{N+1-p}) - g(n_q)) / (g(N+1-p) - g(q)),
-    which equals ``sign_oracle`` exactly for rational tables and up to
+    g(k)); the result is the product over pairs i < j of
+    (g(n_j) - g(n_i)) / (g(j) - g(i)), taken ratio by ratio so that a
+    table of huge or tiny floats neither overflows nor underflows.  It
+    equals ``sign_oracle`` exactly for rational tables and up to
     rounding for float/complex ones.  A table with two equal entries
     makes a denominator vanish and raises
     :class:`DegenerateDenominatorError`.
@@ -109,24 +110,12 @@ def epsilon_generalized(indices: Sequence[int], values: Sequence) -> "Fraction |
         raise InputDomainError(
             f"value table must have one entry per index ({dim}), got {len(table)}"
         )
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            if table[a] == table[b]:
-                raise DegenerateDenominatorError(
-                    f"table is not injective: entries {a + 1} and {b + 1} coincide"
-                )
-    exact = all(isinstance(v, EXACT_SCALARS) for v in table)
-    value = Fraction(1) if exact else complex(1)
-    for p in range(1, dim):
-        top = dim + 1 - p
-        g_top = table[idx[dim - p] - 1]
-        for q in range(1, dim - p + 1):
-            num = g_top - table[idx[q - 1] - 1]
-            den = table[top - 1] - table[q - 1]
-            if exact:
-                value *= Fraction(num, 1) / Fraction(den, 1)
-            else:
-                value *= complex(num) / complex(den)
+    kind = Fraction if all(isinstance(v, EXACT_SCALARS) for v in table) else complex
+    value = kind(1)
+    for num, den in zip(differences(table[n - 1] for n in idx), differences(table)):
+        if den == 0:
+            raise DegenerateDenominatorError("table is not injective: two entries coincide")
+        value *= kind(num) / kind(den)
     return value
 
 

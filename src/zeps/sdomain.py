@@ -4,6 +4,9 @@ Substituting z_q = (1 + s_q*T_q/2)/(1 - s_q*T_q/2) into the Z-domain
 moment sums turns each S(p, q) into the rational function
 R(p, q) = sum_{r=1}^{N} ((2 - T_q*s_q)/(2 + T_q*s_q))^r * r^p,
 and the transform determinant into a determinant over these entries.
+Over the common denominator (2 + T_q*s_q)^N, R(p, q) is the Z-domain
+moment sum with the key (2 - T_q*s_q, 2 + T_q*s_q) in place of
+(z_q^{-1}, 1), so ``ztransform.moment_matrix`` builds both.
 Every denominator is a power of (2 + T_q*s_q), so the poles sit on the
 hyperplanes s_q = -2/T_q; the unit-circle/imaginary-axis geometry of
 the bilinear map carries intra-dimensional stability across unchanged.
@@ -31,11 +34,11 @@ from .algebra import (
     json_number,
     latex_number,
     read_rational,
+    scale_value,
     vandermonde,
 )
 from .errors import EvaluationPoleError, InputDomainError, MapSingularityError
-from .epsilon import gamma_int
-from .ztransform import require_dim, require_moment, scale_constant
+from .ztransform import compact_sum_3d, moment_matrix, require_dim, require_moment, scale_constant
 
 MAX_LAPLACE_DIM = 5
 
@@ -102,22 +105,21 @@ def tustin_map(s, T):
     return (1 + half) / denominator
 
 
-def _linear_factor(dim: int, q: int, step: Fraction, sign: int) -> LaurentPoly:
-    """The polynomial 2 + sign*T_q*s_q inside the dim-variable ring."""
-    return LaurentPoly.constant(dim, 2) + sign * step * LaurentPoly.variable(dim, q)
+def _tustin_keys(params: TustinParams) -> list[tuple[LaurentPoly, LaurentPoly]]:
+    """Tustin's moment keys (u_q, v_q) = (2 - T_q s_q, 2 + T_q s_q) for q = 1..dim."""
+    two = LaurentPoly.constant(params.dim, 2)
+    ts = [step * LaurentPoly.variable(params.dim, q) for q, step in enumerate(params.steps, 1)]
+    return [(two - x, two + x) for x in ts]
 
 
 @lru_cache(maxsize=16)
-def _denominator_product(params: TustinParams, power: int) -> LaurentPoly:
-    """prod_q (2 + T_q s_q)^power -- the shared pole structure.
+def _denominator_product(params: TustinParams) -> LaurentPoly:
+    """prod_q (2 + T_q s_q)^dim -- the shared pole structure.
 
     Cached: ``LaplaceResult.to_latex`` compares against it after every
     build, and at dim 5 it has 7,776 terms.
     """
-    product = LaurentPoly.constant(params.dim, 1)
-    for q in range(1, params.dim + 1):
-        product = product * _linear_factor(params.dim, q, params.steps[q - 1], +1) ** power
-    return product
+    return math.prod(v**params.dim for _, v in _tustin_keys(params))
 
 
 def r_sum(dim: int, p: int, q: int, params: TustinParams) -> RationalFn:
@@ -125,17 +127,13 @@ def r_sum(dim: int, p: int, q: int, params: TustinParams) -> RationalFn:
     R(p, q) = sum_{r=1}^{dim} ((2 - T_q s_q)/(2 + T_q s_q))^r r^p.
 
     Assembled over the common denominator (2 + T_q s_q)^dim, so the
-    numerator is sum_r r^p (2 - T_q s_q)^r (2 + T_q s_q)^(dim - r).
+    numerator is sum_r r^p (2 - T_q s_q)^r (2 + T_q s_q)^(dim - r), the
+    ``moment_matrix`` entry for Tustin's key.
     """
     require_dim(dim, MAX_LAPLACE_DIM)
     require_moment(dim, p, q)
-    step = _default_params(dim, params).steps[q - 1]
-    minus = _linear_factor(dim, q, step, -1)
-    plus = _linear_factor(dim, q, step, +1)
-    numerator = LaurentPoly.zero(dim)
-    for r in range(1, dim + 1):
-        numerator = numerator + (r**p) * minus**r * plus ** (dim - r)
-    return RationalFn(numerator, plus**dim)
+    key = _tustin_keys(_default_params(dim, params))[q - 1]
+    return RationalFn(moment_matrix(dim, [key])[p][0], key[1] ** dim)
 
 
 @dataclass(frozen=True)
@@ -159,7 +157,7 @@ class LaplaceResult(ScaledForm):
         """
         names = self.latex_names()
         numerator = self.body.num.to_latex(names)
-        if self.body.den == _denominator_product(self.params, self.dim):
+        if self.body.den == _denominator_product(self.params):
             heads = [
                 name if step == 1 else f"{latex_number(step)} {name}"
                 for name, step in zip(names, self.params.steps)
@@ -199,14 +197,13 @@ def laplace_determinant(dim: int, params: TustinParams | None = None) -> Laplace
     its bilinear image; agrees with evaluating the Z-domain form at
     z_q = tustin_map(s_q, T_q).  Column q of the matrix shares the
     denominator (2 + T_q s_q)^dim, so the determinant is taken over the
-    numerators and divided once by the pole product.
+    ``moment_matrix`` numerators for Tustin's keys and divided once by
+    the pole product.
     """
     require_dim(dim, MAX_LAPLACE_DIM)
     params = _default_params(dim, params)
-    numerators = [
-        [r_sum(dim, p, q, params).num for q in range(1, dim + 1)] for p in range(dim)
-    ]
-    body = RationalFn(det(numerators), _denominator_product(params, dim))
+    numerators = moment_matrix(dim, _tustin_keys(params))
+    body = RationalFn(det(numerators), _denominator_product(params))
     return LaplaceResult(dim, Fraction(1, scale_constant(dim)), body, params)
 
 
@@ -223,10 +220,10 @@ def factored_laplace(dim: int, params: TustinParams | None = None) -> LaplaceRes
     """
     require_dim(dim, MAX_LAPLACE_DIM)
     params = _default_params(dim, params)
-    keys = [_linear_factor(dim, q, params.steps[q - 1], -1) for q in range(1, dim + 1)]
+    keys = [u for u, _ in _tustin_keys(params)]
     scale = scale_constant(dim)
     numerator = scale * 4 ** (dim * (dim - 1) // 2) * difference_product([0, *keys])
-    body = RationalFn(numerator, _denominator_product(params, dim))
+    body = RationalFn(numerator, _denominator_product(params))
     return LaplaceResult(dim, Fraction(1, scale), body, params)
 
 
@@ -287,18 +284,20 @@ def laplace_2d_closed(params: TustinParams) -> LaplaceResult:
         * (step * s1 - 2)
         * (step * s2 - 2)
     )
-    denominator = _denominator_product(params, 2)
+    denominator = _denominator_product(params)
     return LaplaceResult(2, Fraction(1), RationalFn(numerator, denominator), params)
 
 
 def laplace_compact_3d(params: TustinParams | None = None) -> Callable:
     """Numeric evaluator for the gamma-indexed three-dimensional form.
 
-    Returns a function of one s-point computing
+    Returns a function of one s-point computing the paper's quintuple sum
         (1/2) sum_{m=1}^{3} sum_{k=1}^{2} sum_{r1,r2,r3=1}^{3}
             w_1^{r1} w_{k+1}^{r2} w_{4-k}^{r3}
             (-1)^{k+m} r1^{m-1} r2^{G(m)-m+1} r3^{3-G(m)}
-    with w_q = (2 - T_q s_q)/(2 + T_q s_q); it agrees with
+    with w_q = (2 - T_q s_q)/(2 + T_q s_q).  The sums over r1, r2, r3
+    are the moment sums of the keys (w_q, 1), so it is evaluated as
+    ``compact_sum_3d`` over those numeric moments; it agrees with
     ``laplace_determinant(3, params)`` at every nonsingular point.
     """
     params = _default_params(3, params)
@@ -307,25 +306,8 @@ def laplace_compact_3d(params: TustinParams | None = None) -> Callable:
         coords = tuple(point)
         if len(coords) != 3:
             raise InputDomainError(f"point must have 3 coordinates, got {len(coords)}")
-        w = [None, *_bilinear_images(coords, params)]  # 1-based
-        total = 0
-        for m in (1, 2, 3):
-            g = gamma_int(m)
-            for k in (1, 2):
-                sign = (-1) ** (k + m)
-                for r1 in (1, 2, 3):
-                    for r2 in (1, 2, 3):
-                        for r3 in (1, 2, 3):
-                            total += (
-                                sign
-                                * w[1] ** r1
-                                * w[k + 1] ** r2
-                                * w[4 - k] ** r3
-                                * r1 ** (m - 1)
-                                * r2 ** (g - m + 1)
-                                * r3 ** (3 - g)
-                            )
-        return total / 2 if isinstance(total, complex) else Fraction(total, 2)
+        moments = moment_matrix(3, [(w, 1) for w in _bilinear_images(coords, params)])
+        return scale_value(Fraction(1, 2), compact_sum_3d(moments))
 
     return evaluate
 

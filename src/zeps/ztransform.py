@@ -9,7 +9,9 @@ S(p, q) = sum_{r=1}^{N} r^p z_q^{-r}, and that determinant is itself a
 Vandermonde product in x_q = 1/z_q.  The factored product is expanded
 for output; the brute-force summation, the determinant and a
 gamma-indexed double-sum variant special to three dimensions are the
-paper's routes, kept as independent oracles for it.
+paper's routes, kept as independent oracles for it.  Every moment sum,
+here and in the Laplace domain, comes from one builder,
+``moment_matrix``.
 """
 
 from __future__ import annotations
@@ -100,6 +102,31 @@ def heaviside(n: int, n0: int) -> int:
     return 0 if n < n0 else 1
 
 
+def moment_matrix(dim: int, keys: Sequence[tuple]) -> list[list]:
+    """Rows p = 0..dim-1 of sum_{r=1}^{dim} r^p a_q^r b_q^(dim-r), one column per key.
+
+    Every paper route reads its moment sums here.  The Z-domain key
+    (z_q^{-1}, 1) gives S(p, q); Tustin's key (2 - T_q s_q, 2 + T_q s_q)
+    gives the numerator of R(p, q) over (2 + T_q s_q)^dim; a numeric key
+    (w, 1) gives the moment sums at one point.  Each column's powers are
+    built once, with ``*`` and ``+`` only, so keys keep their type.
+    """
+    columns = []
+    for a, b in keys:
+        a_powers, b_powers = [a], [1]
+        for _ in range(dim - 1):
+            a_powers.append(a_powers[-1] * a)
+            b_powers.append(b_powers[-1] * b)
+        terms = [a_powers[r - 1] * b_powers[dim - r] for r in range(1, dim + 1)]
+        columns.append([sum(r**p * t for r, t in enumerate(terms, 1)) for p in range(dim)])
+    return [list(row) for row in zip(*columns)]
+
+
+def _z_keys(dim: int) -> list[tuple]:
+    """The moment keys (z_q^{-1}, 1) for q = 1..dim."""
+    return [(LaurentPoly.variable(dim, q, -1), 1) for q in range(1, dim + 1)]
+
+
 def s_sum(dim: int, p: int, q: int) -> LaurentPoly:
     """Power-moment sum S(p, q) = sum_{r=1}^{dim} r^p z_q^{-r}.
 
@@ -110,12 +137,7 @@ def s_sum(dim: int, p: int, q: int) -> LaurentPoly:
     """
     require_dim(dim, MAX_DIM)
     require_moment(dim, p, q)
-    terms = {}
-    for r in range(1, dim + 1):
-        exponents = [0] * dim
-        exponents[q - 1] = -r
-        terms[tuple(exponents)] = Fraction(r**p)
-    return LaurentPoly(dim, terms)
+    return moment_matrix(dim, _z_keys(dim)[q - 1 : q])[p][0]
 
 
 def scale_constant(dim: int) -> int:
@@ -146,15 +168,14 @@ def brute_force_ztransform(dim: int) -> TransformResult:
 def determinant_ztransform(dim: int) -> TransformResult:
     """The paper's closed form: scaled determinant of the moment-sum matrix.
 
-    Entry (row p, column q) of the dim x dim matrix is s_sum(dim, p, q)
-    with p = 0..dim-1 down the rows and q = 1..dim across the columns;
-    the determinant divided by ``scale_constant(dim)`` reproduces the
+    Entry (row p, column q) of the dim x dim matrix is S(p, q) from
+    ``moment_matrix``, p = 0..dim-1 down and q = 1..dim across; the
+    determinant divided by ``scale_constant(dim)`` reproduces the
     brute-force transform exactly.  Built by cofactor expansion, it is
     the oracle that ``factored_ztransform`` is checked against.
     """
     require_dim(dim, MAX_DIM)
-    matrix = [[s_sum(dim, p, q) for q in range(1, dim + 1)] for p in range(dim)]
-    body = det(matrix)
+    body = det(moment_matrix(dim, _z_keys(dim)))
     return TransformResult(dim, Fraction(1, scale_constant(dim)), body, roc(dim))
 
 
@@ -168,7 +189,7 @@ def factored_ztransform(dim: int) -> TransformResult:
     O(dim^2) polynomial products instead of a cofactor expansion.
     """
     require_dim(dim, MAX_DIM)
-    inverses = [LaurentPoly.variable(dim, q, -1) for q in range(1, dim + 1)]
+    inverses = [a for a, _ in _z_keys(dim)]
     scale = scale_constant(dim)
     body = scale * difference_product([0, *inverses])
     return TransformResult(dim, Fraction(1, scale), body, roc(dim))
@@ -191,24 +212,28 @@ def factored_value(point: Sequence) -> "Fraction | complex":
     return vandermonde([Fraction(1) / z for z in coords])
 
 
+def compact_sum_3d(moments: Sequence[Sequence]):
+    """The paper's gamma-indexed double sum over a 3x3 moment matrix M:
+
+        sum_{m=1}^{3} sum_{k=1}^{2} (-1)^{m+k}
+            M(m-1, 1) * M(G(m)-m+1, k+1) * M(3-G(m), 4-k)
+
+    with G the integer gamma function and M(p, q) = ``moments[p][q-1]``.
+    It is the determinant of M, expanded down its first column.
+    """
+    return sum(
+        (-1) ** (m + k) * moments[m - 1][0] * moments[g - m + 1][k] * moments[3 - g][3 - k]
+        for m in (1, 2, 3)
+        for g in (gamma_int(m),)
+        for k in (1, 2)
+    )
+
+
 def compact_form_3d() -> TransformResult:
     """Gamma-indexed double-sum form of the three-dimensional transform.
 
-    Expands the 3x3 determinant down its first column as
-    (1/2) * sum_{m=1}^{3} sum_{k=1}^{2} (-1)^{m+k}
-        S(m-1, 1) * S(G(m)-m+1, k+1) * S(3-G(m), 4-k)
-    with G the integer gamma function; the result equals
-    ``determinant_ztransform(3)`` term for term.
+    ``compact_sum_3d`` over the S(p, q) moments, times 1/2; the result
+    equals ``determinant_ztransform(3)`` term for term.
     """
-    total = LaurentPoly.zero(3)
-    for m in (1, 2, 3):
-        g = gamma_int(m)
-        for k in (1, 2):
-            sign = (-1) ** (m + k)
-            product = (
-                s_sum(3, m - 1, 1)
-                * s_sum(3, g - m + 1, k + 1)
-                * s_sum(3, 3 - g, 4 - k)
-            )
-            total = total + sign * product
-    return TransformResult(3, Fraction(1, 2), total, roc(3))
+    body = compact_sum_3d(moment_matrix(3, _z_keys(3)))
+    return TransformResult(3, Fraction(1, 2), body, roc(3))

@@ -173,9 +173,18 @@ class TestEpsilonGeneralized:
             for idx in enumerate_indices(3):
                 assert epsilon_generalized(idx, table) == sign_oracle(idx)
 
-    def test_float_table_close_to_oracle(self):
-        table = [0.5, -1.25, 3.75]
-        for idx in enumerate_indices(3):
+    @pytest.mark.parametrize(
+        "table",
+        [
+            [0.5, -1.25, 3.75],
+            # whole products of ten such differences overflow (or underflow)
+            # a float; the paired ratios stay near +/-1
+            [k * 1e200 for k in range(1, 6)],
+            [k * 1e-200 for k in range(1, 6)],
+        ],
+    )
+    def test_float_table_close_to_oracle(self, table):
+        for idx in enumerate_indices(len(table)):
             assert abs(epsilon_generalized(idx, table) - sign_oracle(idx)) < 1e-12
 
 

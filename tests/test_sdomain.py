@@ -15,6 +15,7 @@ from zeps.sdomain import (
     LaplaceResult,
     TustinParams,
     _denominator_product,
+    factored_laplace_value,
     laplace_2d_closed,
     laplace_compact_3d,
     laplace_determinant,
@@ -22,7 +23,7 @@ from zeps.sdomain import (
     r_sum,
     tustin_map,
 )
-from zeps.verify import random_s_point, rel_close
+from zeps.verify import random_rational_s_point, random_s_point, rel_close
 from zeps.ztransform import determinant_ztransform, s_sum
 
 
@@ -129,6 +130,21 @@ class TestRSum:
         denominator = (x + 2) ** 3
         assert r_sum(3, p, 1, params) == RationalFn(numerator, denominator)
 
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_matches_literal_sum_for_every_entry(self, dim):
+        # sum_r r^p (2 - T_q s_q)^r (2 + T_q s_q)^(N-r) over (2 + T_q s_q)^N,
+        # written out term by term with per-dimension steps
+        params = TustinParams(dim, tuple(Fraction(q, 3) for q in range(1, dim + 1)))
+        for q in range(1, dim + 1):
+            ts = params.steps[q - 1] * LaurentPoly.variable(dim, q)
+            for p in range(dim):
+                numerator = LaurentPoly.zero(dim)
+                for r in range(1, dim + 1):
+                    numerator = numerator + r**p * (2 - ts) ** r * (2 + ts) ** (dim - r)
+                fn = r_sum(dim, p, q, params)
+                assert fn.num == numerator
+                assert fn.den == (2 + ts) ** dim
+
 
 def closed_form_2d(step: Fraction) -> RationalFn:
     """4T(s1 - s2)(T s1 - 2)(T s2 - 2) / ((T s1 + 2)^2 (T s2 + 2)^2), built directly."""
@@ -177,7 +193,7 @@ class TestLaplaceDeterminant:
     def test_denominator_is_pole_product_2d(self):
         params = TustinParams(2, (Fraction(1), Fraction(1, 3)))
         result = laplace_determinant(2, params)
-        assert result.body.den == _denominator_product(params, 2)
+        assert result.body.den == _denominator_product(params)
 
     def test_pole_confinement_3d_by_sampling(self):
         params = TustinParams(3, (Fraction(1), Fraction(2), Fraction(1, 2)))
@@ -253,6 +269,18 @@ class TestLaplaceCompact3d:
         for _ in range(25):
             point = random_s_point(rng, params)
             assert rel_close(evaluator(point), determinant.evaluate(point), 1e-10)
+
+    @pytest.mark.parametrize(
+        "params",
+        [TustinParams.uniform(3), TustinParams(3, (Fraction(1), Fraction(3), Fraction(1, 4)))],
+    )
+    def test_equals_factored_value_exactly(self, params):
+        # the factored route shares no moment code with the compact sum
+        evaluator = laplace_compact_3d(params)
+        rng = random.Random(59)
+        for _ in range(50):
+            point = random_rational_s_point(rng, params)
+            assert evaluator(point) == factored_laplace_value(point, params)
 
 
 class TestPoleZeroReport:
