@@ -59,6 +59,7 @@ GOLDEN = (
     ("emit --domain s --dim 4 --T 1/3,1,2,1/2 --format latex", 0, "3221a4d593b88f2a4c946122116136b5bd9db26b30f09d8eaea771d98eee98a0"),
     ("emit --domain z --dim 6 --format json", 0, "64b7263be587c19084c8211e7bc0f2e9ff1dc06d4fa96fd7ba07163b1cf40544"),
     ("emit --domain s --dim 5 --T 1 --format json", 0, "1dc1e3bfde8edc2781920812389894809920cdab8f61efb17ea0d93f2b40e082"),
+    ("emit --domain s --dim 5 --T 1/2,1,3/2,2,5/2 --format latex", 0, "6f6e4bbcbcaeee569074c6486f4620e5c86a9bf9e09d28501d05e02a3e087fa2"),
     ("report --dim 2 --T 1/2 --format text", 0, "9eb6dd75986a25f0da4cb21b61660345992627bf64f310a82c64db2a83396282"),
     ("report --dim 2 --T 1/2 --format json", 0, "fc78984eb0802d5f3c8d56ef2f78cc21065cd915dad7dacda31c3bbe25b3d875"),
     ("verify --dim 3 --seed 7 --samples 10", 0, "6169bf26dbe5964f2f34b492fada257820921e44729f2c250ec3c78c7233a660"),
