@@ -1,7 +1,7 @@
 """Exact Z-domain and Tustin-mapped Laplace-domain closed forms for the
 Levi-Civita symbol, cross-verified against brute-force oracles."""
 
-from .algebra import LaurentPoly, RationalFn, det, scale_value
+from .algebra import LaurentPoly, RationalFn, det
 from .epsilon import (
     check_index,
     enumerate_indices,
@@ -34,7 +34,6 @@ from .sdomain import (
     tustin_map,
 )
 from .ztransform import (
-    ROCSpec,
     TransformResult,
     brute_force_ztransform,
     compact_form_3d,
@@ -42,7 +41,6 @@ from .ztransform import (
     factored_value,
     factored_ztransform,
     heaviside,
-    roc,
     s_sum,
     scale_constant,
 )
@@ -58,7 +56,6 @@ __all__ = [
     "LaurentPoly",
     "MapSingularityError",
     "PoleZeroReport",
-    "ROCSpec",
     "RationalFn",
     "TransformResult",
     "TustinParams",
@@ -84,10 +81,8 @@ __all__ = [
     "laplace_determinant",
     "pole_zero_report_2d",
     "r_sum",
-    "roc",
     "s_sum",
     "scale_constant",
-    "scale_value",
     "sign_oracle",
     "tustin_map",
 ]

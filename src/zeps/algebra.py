@@ -707,21 +707,14 @@ def det(matrix: Sequence[Sequence]):
     Works for any elements supporting ``+``, unary ``-`` and ``*``
     (here: :class:`LaurentPoly`).  Uses cofactor expansion with
     memoization over column subsets, so each minor is computed once.
-    The side is capped at ``MAX_DET_SIDE``.
+    The side is capped at ``MAX_DET_SIDE``.  Entries of different arities
+    raise :class:`InputDomainError` at the first ``*`` or ``+`` mixing them.
     """
     n = len(matrix)
     if n == 0 or any(len(row) != n for row in matrix):
         raise InputDomainError("determinant needs a non-empty square matrix")
     if n > MAX_DET_SIDE:
         raise InputDomainError(f"determinant side capped at {MAX_DET_SIDE}, got {n}")
-    arities = {
-        element.arity
-        for row in matrix
-        for element in row
-        if hasattr(element, "arity")
-    }
-    if len(arities) > 1:
-        raise InputDomainError(f"matrix entries mix arities: {sorted(arities)}")
 
     memo: dict[tuple[int, ...], object] = {}
 
@@ -777,13 +770,6 @@ def vandermonde(xs: Sequence) -> "Fraction | complex":
     return difference_product([0, *values])
 
 
-def scale_value(scale: Fraction, value):
-    """Multiply an evaluation result by an exact rational scale."""
-    if isinstance(value, EXACT_SCALARS):
-        return scale * value
-    return float(scale) * value
-
-
 @dataclass(frozen=True)
 class ScaledForm:
     """A closed form ``scale * body`` in the variables ``<prefix>1..<prefix>dim``.
@@ -800,7 +786,7 @@ class ScaledForm:
     prefix: ClassVar[str] = "x"
 
     def evaluate(self, point: Sequence) -> "Fraction | complex":
-        return scale_value(self.scale, self.body.evaluate(point))
+        return self.scale * self.body.evaluate(point)
 
     def varnames(self) -> tuple[str, ...]:
         return tuple(f"{self.prefix}{q}" for q in range(1, self.dim + 1))

@@ -34,7 +34,6 @@ from .algebra import (
     json_number,
     latex_number,
     read_rational,
-    scale_value,
     vandermonde,
 )
 from .errors import EvaluationPoleError, InputDomainError, MapSingularityError
@@ -105,19 +104,27 @@ def tustin_map(s, T):
     return (1 + half) / denominator
 
 
-def _tustin_keys(params: TustinParams) -> list[tuple[LaurentPoly, LaurentPoly]]:
-    """Tustin's moment keys (u_q, v_q) = (2 - T_q s_q, 2 + T_q s_q) for q = 1..dim."""
-    two = LaurentPoly.constant(params.dim, 2)
-    ts = [step * LaurentPoly.variable(params.dim, q) for q, step in enumerate(params.steps, 1)]
-    return [(two - x, two + x) for x in ts]
+def _tustin_keys(params: TustinParams, xs: Sequence | None = None) -> list[tuple]:
+    """Tustin's pair (u_q, v_q) = (2 - T_q s_q, 2 + T_q s_q) for q = 1..dim.
+
+    With no ``xs`` the pair is polynomial in s_1..s_dim: the moment keys
+    and pole factors.  Given a point ``xs`` it is the pair's values
+    there: an exact coordinate stays exact, any other becomes ``complex``.
+    """
+    if xs is None:
+        xs = [LaurentPoly.variable(params.dim, q) for q in range(1, params.dim + 1)]
+    else:
+        xs = [x if isinstance(x, EXACT_SCALARS) else complex(x) for x in xs]
+    return [(2 - step * x, 2 + step * x) for step, x in zip(params.steps, xs)]
 
 
 @lru_cache(maxsize=16)
 def _denominator_product(params: TustinParams) -> LaurentPoly:
     """prod_q (2 + T_q s_q)^dim -- the shared pole structure.
 
-    Cached: ``LaplaceResult.to_latex`` compares against it after every
-    build, and at dim 5 it has 7,776 terms.
+    Cached because ``verify`` builds both Laplace forms for the same
+    steps, and ``LaplaceResult.to_latex`` compares against it after a
+    build; at dim 5 it has 7,776 terms.
     """
     return math.prod(v**params.dim for _, v in _tustin_keys(params))
 
@@ -149,20 +156,20 @@ class LaplaceResult(ScaledForm):
     prefix: ClassVar[str] = "s"
 
     def to_latex(self) -> str:
-        """LaTeX with the denominator in its factored (T s + 2)-power style.
+        """LaTeX with the denominator as the product of Tustin's pole factors.
 
-        The factored form is emitted only after checking that the body
-        denominator really is prod_q (2 + T_q s_q)^dim; otherwise the
-        expanded denominator is used verbatim.
+        Each factor 2 + T_q s_q is raised to the dim-th power, but only
+        after checking that the body denominator really is
+        prod_q (2 + T_q s_q)^dim; otherwise the expanded denominator is
+        used verbatim.
         """
         names = self.latex_names()
         numerator = self.body.num.to_latex(names)
         if self.body.den == _denominator_product(self.params):
-            heads = [
-                name if step == 1 else f"{latex_number(step)} {name}"
-                for name, step in zip(names, self.params.steps)
-            ]
-            denominator = " ".join(f"\\left({h} + 2\\right)^{{{self.dim}}}" for h in heads)
+            denominator = " ".join(
+                f"\\left({v.to_latex(names)}\\right)^{{{self.dim}}}"
+                for _, v in _tustin_keys(self.params)
+            )
         else:
             denominator = self.body.den.to_latex(names)
         fraction = f"\\frac{{{numerator}}}{{{denominator}}}"
@@ -228,22 +235,17 @@ def factored_laplace(dim: int, params: TustinParams | None = None) -> LaplaceRes
 
 
 def _bilinear_images(coords: Sequence, params: TustinParams) -> list:
-    """w_q = (2 - T_q s_q)/(2 + T_q s_q), the bilinear image of z_q^{-1}.
+    """w_q = u_q / v_q at ``coords``, the bilinear image of z_q^{-1}.
 
     Exact coordinates give exact images, others complex ones.  A
     coordinate on its pole hyperplane T_q s_q = -2 raises
     :class:`EvaluationPoleError`.
     """
     images = []
-    for q, (s, step) in enumerate(zip(coords, params.steps), start=1):
-        if isinstance(s, EXACT_SCALARS):
-            ts = Fraction(s) * step
-        else:
-            ts = complex(s) * float(step)
-        denominator = 2 + ts
-        if denominator == 0:
+    for q, (u, v) in enumerate(_tustin_keys(params, coords), start=1):
+        if v == 0:
             raise EvaluationPoleError(f"point sits on the pole hyperplane T_{q} s_{q} = -2")
-        images.append((2 - ts) / denominator)
+        images.append(u / v)
     return images
 
 
@@ -307,7 +309,7 @@ def laplace_compact_3d(params: TustinParams | None = None) -> Callable:
         if len(coords) != 3:
             raise InputDomainError(f"point must have 3 coordinates, got {len(coords)}")
         moments = moment_matrix(3, [(w, 1) for w in _bilinear_images(coords, params)])
-        return scale_value(Fraction(1, 2), compact_sum_3d(moments))
+        return Fraction(1, 2) * compact_sum_3d(moments)
 
     return evaluate
 

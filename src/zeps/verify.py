@@ -35,6 +35,8 @@ from .ztransform import (
     require_dim,
 )
 
+POINT_DENOMINATOR = 8
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -76,21 +78,20 @@ def random_s_point(rng: random.Random, params: TustinParams, margin: float = 0.2
     return tuple(point)
 
 
-def random_rational_s_point(
-    rng: random.Random, params: TustinParams, denominator: int = 8
-) -> tuple:
+def random_rational_s_point(rng: random.Random, params: TustinParams) -> tuple:
     """Random exact rational point off the hyperplanes T_q s_q = -+2.
 
-    Exact coordinates let both transform routes evaluate in rational
+    Coordinates are multiples of 1/POINT_DENOMINATOR in [-3, 3].  Exact
+    coordinates let both transform routes evaluate in rational
     arithmetic, so cross-checks at these points are free of the
     cancellation noise that the expanded numerators pick up in floating
     point at higher dimensions.
     """
     point = []
-    for q in range(params.dim):
-        step = params.steps[q]
+    for step in params.steps:
         while True:
-            s = Fraction(rng.randint(-3 * denominator, 3 * denominator), denominator)
+            s = Fraction(rng.randint(-3 * POINT_DENOMINATOR, 3 * POINT_DENOMINATOR),
+                         POINT_DENOMINATOR)
             if step * s not in (2, -2):
                 point.append(s)
                 break

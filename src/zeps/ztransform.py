@@ -48,35 +48,23 @@ def require_moment(dim: int, p: int, q: int) -> None:
 
 
 @dataclass(frozen=True)
-class ROCSpec:
-    """Region-of-convergence metadata: one nonzero-modulus constraint per variable.
-
-    All transforms here are finite Laurent polynomials, so the only
-    genuine singularities sit at z_q = 0; the constraints record that
-    and nothing more.
-    """
-
-    dim: int
-    constraints: tuple[str, ...]
-
-
-def roc(dim: int) -> ROCSpec:
-    """Per-dimension constraint set ``z_q != 0`` for q = 1..dim."""
-    require_dim(dim)
-    return ROCSpec(dim, tuple(f"z{q} != 0" for q in range(1, dim + 1)))
-
-
-@dataclass(frozen=True)
 class TransformResult(ScaledForm):
-    """One closed-form Z-domain transform: ``scale * body`` plus ROC metadata.
+    """One closed-form Z-domain transform: ``scale * body``.
 
     ``body`` is a Laurent polynomial in z_1..z_dim whose exponents all
     lie in [-dim, -1] per variable (the summation window is 1..dim).
     """
 
-    roc: ROCSpec
-
     prefix: ClassVar[str] = "z"
+
+    @property
+    def roc(self) -> tuple[str, ...]:
+        """Region of convergence: ``z_q != 0`` for each variable.
+
+        Every transform here is a finite Laurent polynomial, so its only
+        singularities sit at z_q = 0.
+        """
+        return tuple(f"{name} != 0" for name in self.varnames())
 
     def expanded(self) -> LaurentPoly:
         """The transform as a single canonical polynomial, scale folded in."""
@@ -93,7 +81,7 @@ class TransformResult(ScaledForm):
             "dim": self.dim,
             "scale": json_number(self.scale),
             "body": self.body.to_json_dict(),
-            "roc": list(self.roc.constraints),
+            "roc": list(self.roc),
         }
 
 
@@ -162,7 +150,7 @@ def brute_force_ztransform(dim: int) -> TransformResult:
         sign = sign_oracle(idx)
         if sign:
             terms[tuple(-n for n in idx)] = Fraction(sign)
-    return TransformResult(dim, Fraction(1), LaurentPoly(dim, terms), roc(dim))
+    return TransformResult(dim, Fraction(1), LaurentPoly(dim, terms))
 
 
 def determinant_ztransform(dim: int) -> TransformResult:
@@ -176,7 +164,7 @@ def determinant_ztransform(dim: int) -> TransformResult:
     """
     require_dim(dim, MAX_DIM)
     body = det(moment_matrix(dim, _z_keys(dim)))
-    return TransformResult(dim, Fraction(1, scale_constant(dim)), body, roc(dim))
+    return TransformResult(dim, Fraction(1, scale_constant(dim)), body)
 
 
 def factored_ztransform(dim: int) -> TransformResult:
@@ -192,7 +180,7 @@ def factored_ztransform(dim: int) -> TransformResult:
     inverses = [a for a, _ in _z_keys(dim)]
     scale = scale_constant(dim)
     body = scale * difference_product([0, *inverses])
-    return TransformResult(dim, Fraction(1, scale), body, roc(dim))
+    return TransformResult(dim, Fraction(1, scale), body)
 
 
 def factored_value(point: Sequence) -> "Fraction | complex":
@@ -236,4 +224,4 @@ def compact_form_3d() -> TransformResult:
     equals ``determinant_ztransform(3)`` term for term.
     """
     body = compact_sum_3d(moment_matrix(3, _z_keys(3)))
-    return TransformResult(3, Fraction(1, 2), body, roc(3))
+    return TransformResult(3, Fraction(1, 2), body)

@@ -213,16 +213,16 @@ class TestModuleEntryPoint:
     def test_reader_closing_early_is_not_a_failure(self):
         # ``zeps emit ... | head -c 20``: a closed pipe is the reader's
         # choice, not a failed verification (exit 1) or a traceback
-        process = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-m", "zeps", "emit", "--domain", "s", "--dim", "5",
              "--format", "json"],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-        )
-        head = process.stdout.read(20)
-        process.stdout.close()
-        err = process.stderr.read()
-        assert process.wait() == EXIT_OK
+        ) as process:
+            head = process.stdout.read(20)
+            process.stdout.close()
+            err = process.stderr.read()
+            assert process.wait() == EXIT_OK
         assert head.startswith(b"{")
         assert err == b""
 

@@ -12,8 +12,8 @@ from zeps.ztransform import (
     brute_force_ztransform,
     compact_form_3d,
     determinant_ztransform,
+    factored_ztransform,
     heaviside,
-    roc,
     s_sum,
     scale_constant,
 )
@@ -174,17 +174,11 @@ class TestCompactForm3d:
 
 class TestROC:
     def test_two_dimensional(self):
-        spec = roc(2)
-        assert spec.dim == 2
-        assert spec.constraints == ("z1 != 0", "z2 != 0")
+        assert factored_ztransform(2).roc == ("z1 != 0", "z2 != 0")
 
     @pytest.mark.parametrize("dim", [3, 5])
     def test_one_constraint_per_dimension(self, dim):
-        assert len(roc(dim).constraints) == dim
-
-    def test_dimension_validation(self):
-        with pytest.raises(UnsupportedDimensionError):
-            roc(1)
+        assert len(factored_ztransform(dim).roc) == dim
 
 
 class TestTransformResultSurface:
