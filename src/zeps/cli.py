@@ -143,9 +143,16 @@ def cmd_report(args) -> tuple[int, str]:
         )
     params = _parse_steps(args.T, 2)
     report = pole_zero_report_2d(params)
-    if args.format == "json":
+    if args.format == "text":
+        return EXIT_OK, report.to_text()
+    # -2/T may have one digit more than the cap --T was read under, and
+    # json.dumps writes integers through int.__repr__, which the cap limits.
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
         return EXIT_OK, json.dumps(report.to_json_dict(), indent=2)
-    return EXIT_OK, report.to_text()
+    finally:
+        sys.set_int_max_str_digits(cap)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -157,18 +164,18 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # --dim and --T, shared by every command
+    shape = argparse.ArgumentParser(add_help=False)
+    shape.add_argument("--dim", type=int, required=True)
+    shape.add_argument("--T", default="1", help="step constant(s), e.g. 1 or 1/2,1/4")
 
-    emit = sub.add_parser("emit", help="print a closed-form transform")
+    emit = sub.add_parser("emit", parents=[shape], help="print a closed-form transform")
     emit.add_argument("--domain", choices=("z", "s"), required=True)
-    emit.add_argument("--dim", type=int, required=True)
-    emit.add_argument("--T", default="1", help="step constant(s), e.g. 1 or 1/2,1/4")
     emit.add_argument("--format", choices=("json", "latex", "text"), default="text")
     emit.set_defaults(func=cmd_emit)
 
-    evaluate = sub.add_parser("eval", help="evaluate a transform at a point")
+    evaluate = sub.add_parser("eval", parents=[shape], help="evaluate a transform at a point")
     evaluate.add_argument("--domain", choices=("z", "s"), required=True)
-    evaluate.add_argument("--dim", type=int, required=True)
-    evaluate.add_argument("--T", default="1")
     evaluate.add_argument(
         "--point",
         required=True,
@@ -177,16 +184,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     evaluate.set_defaults(func=cmd_eval)
 
-    verify = sub.add_parser("verify", help="run the oracle cross-checks")
-    verify.add_argument("--dim", type=int, required=True)
-    verify.add_argument("--T", default="1")
+    verify = sub.add_parser("verify", parents=[shape], help="run the oracle cross-checks")
     verify.add_argument("--samples", type=int, default=100)
     verify.add_argument("--seed", type=int, default=0)
     verify.set_defaults(func=cmd_verify)
 
-    report = sub.add_parser("report", help="2-D pole/zero structure")
-    report.add_argument("--dim", type=int, required=True)
-    report.add_argument("--T", default="1")
+    report = sub.add_parser("report", parents=[shape], help="2-D pole/zero structure")
     report.add_argument("--format", choices=("json", "text"), default="text")
     report.set_defaults(func=cmd_report)
 

@@ -33,6 +33,7 @@ from .algebra import (
     difference_product,
     json_number,
     latex_number,
+    rational_text,
     read_rational,
     vandermonde,
 )
@@ -137,9 +138,9 @@ def r_sum(dim: int, p: int, q: int, params: TustinParams) -> RationalFn:
     numerator is sum_r r^p (2 - T_q s_q)^r (2 + T_q s_q)^(dim - r), the
     ``moment_matrix`` entry for Tustin's key.
     """
-    require_dim(dim, MAX_LAPLACE_DIM)
+    params = _laplace_params(dim, params)
     require_moment(dim, p, q)
-    key = _tustin_keys(_default_params(dim, params))[q - 1]
+    key = _tustin_keys(params)[q - 1]
     return RationalFn(moment_matrix(dim, [key])[p][0], key[1] ** dim)
 
 
@@ -187,7 +188,12 @@ class LaplaceResult(ScaledForm):
         }
 
 
-def _default_params(dim: int, params: TustinParams | None) -> TustinParams:
+def _laplace_params(dim: int, params: TustinParams | None) -> TustinParams:
+    """The steps for a Laplace form of ``dim``, after checking its window.
+
+    No ``params`` means T_q = 1 in every dimension.
+    """
+    require_dim(dim, MAX_LAPLACE_DIM)
     if params is None:
         return TustinParams.uniform(dim)
     if params.dim != dim:
@@ -207,8 +213,7 @@ def laplace_determinant(dim: int, params: TustinParams | None = None) -> Laplace
     ``moment_matrix`` numerators for Tustin's keys and divided once by
     the pole product.
     """
-    require_dim(dim, MAX_LAPLACE_DIM)
-    params = _default_params(dim, params)
+    params = _laplace_params(dim, params)
     numerators = moment_matrix(dim, _tustin_keys(params))
     body = RationalFn(det(numerators), _denominator_product(params))
     return LaplaceResult(dim, Fraction(1, scale_constant(dim)), body, params)
@@ -225,8 +230,7 @@ def factored_laplace(dim: int, params: TustinParams | None = None) -> LaplaceRes
     ``laplace_determinant(dim, params)`` term for term: same scale, same
     numerator, same pole product.
     """
-    require_dim(dim, MAX_LAPLACE_DIM)
-    params = _default_params(dim, params)
+    params = _laplace_params(dim, params)
     keys = [u for u, _ in _tustin_keys(params)]
     scale = scale_constant(dim)
     numerator = scale * 4 ** (dim * (dim - 1) // 2) * difference_product([0, *keys])
@@ -262,8 +266,7 @@ def factored_laplace_value(
     complex ones.
     """
     coords = tuple(point)
-    require_dim(len(coords), MAX_LAPLACE_DIM)
-    return vandermonde(_bilinear_images(coords, _default_params(len(coords), params)))
+    return vandermonde(_bilinear_images(coords, _laplace_params(len(coords), params)))
 
 
 def laplace_2d_closed(params: TustinParams) -> LaplaceResult:
@@ -302,7 +305,7 @@ def laplace_compact_3d(params: TustinParams | None = None) -> Callable:
     ``compact_sum_3d`` over those numeric moments; it agrees with
     ``laplace_determinant(3, params)`` at every nonsingular point.
     """
-    params = _default_params(3, params)
+    params = _laplace_params(3, params)
 
     def evaluate(point: Sequence) -> "Fraction | complex":
         coords = tuple(point)
@@ -330,13 +333,13 @@ class PoleZeroReport:
     inter_zeros: tuple[str, ...]
 
     def to_text(self) -> str:
-        lines = [f"pole/zero report (dim={self.dim}, T={self.step})"]
+        lines = [f"pole/zero report (dim={self.dim}, T={rational_text(self.step)})"]
         for q in range(self.dim):
             pole, pole_mult = self.poles[q]
             zero, zero_mult = self.intra_zeros[q]
             lines.append(
-                f"  dimension {q + 1}: pole at {pole} (multiplicity {pole_mult}); "
-                f"zero at {zero} (multiplicity {zero_mult})"
+                f"  dimension {q + 1}: pole at {rational_text(pole)} (multiplicity {pole_mult}); "
+                f"zero at {rational_text(zero)} (multiplicity {zero_mult})"
             )
         for description in self.inter_zeros:
             lines.append(f"  inter-dimensional zero: {description}")

@@ -226,6 +226,17 @@ class TestModuleEntryPoint:
         assert head.startswith(b"{")
         assert err == b""
 
+    def test_package_root_imports_no_module(self):
+        # each name is imported from its module, so importing one module
+        # loads only what that module itself imports
+        loaded = "sorted(m for m in sys.modules if m.startswith('zeps'))"
+        completed = subprocess.run(
+            [sys.executable, "-c", f"import sys, zeps.algebra; print({loaded})"],
+            capture_output=True,
+            text=True,
+        )
+        assert completed.stdout.strip() == "['zeps', 'zeps.algebra', 'zeps.errors']"
+
 
 class TestReport:
     def test_unit_step_text(self, capsys):
@@ -389,6 +400,24 @@ class TestDigitCap:
         code, out, _ = run(capsys, "report", "--dim", "2", "--T", "1e308", "--format", "json")
         assert code == EXIT_OK
         assert json.loads(out)["T"] == {"num": 10**308, "den": 1}
+
+    def test_report_prints_a_pole_past_the_cap_in_full(self, capsys):
+        # T = 1/(10**4300 - 1) is read under the cap, but -2/T has 4,301 digits
+        nines = 10**4300 - 1
+        step = "1/" + "9" * 4300
+        code, out, _ = run(capsys, "report", "--dim", "2", "--T", step)
+        assert code == EXIT_OK
+        assert out.count("pole at -1" + "9" * 4299 + "8 ") == 2
+        code, out, _ = run(capsys, "report", "--dim", "2", "--T", step, "--format", "json")
+        assert code == EXIT_OK
+        cap = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            data = json.loads(out)
+        finally:
+            sys.set_int_max_str_digits(cap)
+        assert data["poles"][0]["location"] == {"num": -2 * nines, "den": 1}
+        assert data["T"] == {"num": 1, "den": nines}
 
 
 class TestDimensionWindow:

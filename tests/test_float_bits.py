@@ -7,6 +7,8 @@ the step taken to ``float`` and multiplied into ``complex(s)``, and the
 scale taken to ``float`` and multiplied into the value.  Every complex
 result must match it in every bit of its real and imaginary parts, not
 just to a tolerance, and every exact result must match it exactly.
+``reference_evaluate`` does the same for ``LaurentPoly.evaluate`` at
+inexact points.
 """
 
 import random
@@ -15,7 +17,8 @@ from fractions import Fraction
 
 import pytest
 
-from zeps.algebra import vandermonde
+from zeps.algebra import LaurentPoly, vandermonde
+from zeps.errors import EvaluationPoleError
 from zeps.sdomain import (
     TustinParams, factored_laplace, factored_laplace_value, laplace_compact_3d,
     laplace_determinant,
@@ -43,6 +46,28 @@ def reference_scale(scale, value):
     if isinstance(value, (int, Fraction)):
         return scale * value
     return float(scale) * value
+
+
+def reference_evaluate(poly, point):
+    """The complex route of ``LaurentPoly.evaluate``: each term is
+    ``complex(coeff)`` times the cached ``complex(x) ** e`` over its nonzero
+    exponents, and the terms are summed in term order."""
+    for i, x in enumerate(point):
+        if x == 0 and any(exponents[i] < 0 for exponents in poly.terms):
+            raise EvaluationPoleError(f"variable {i + 1} is zero under a negative exponent")
+    bases = [complex(x) for x in point]
+    power_cache = [{} for _ in bases]
+    total = complex(0)
+    for exponents, coeff in poly.terms.items():
+        term = complex(coeff)
+        for i, e in enumerate(exponents):
+            if e == 0:
+                continue
+            if e not in power_cache[i]:
+                power_cache[i][e] = bases[i] ** e
+            term = term * power_cache[i][e]
+        total = total + term
+    return total
 
 
 def bits(value) -> bytes:
@@ -122,3 +147,35 @@ def test_scaled_form_evaluate(form):
     for point in (complex_point(rng, form.dim) for _ in range(50)):
         expected = reference_scale(form.scale, form.body.evaluate(point))
         assert_same(form.evaluate(point), expected)
+
+
+S3 = laplace_determinant(3, TustinParams(3, STEPS[:3]))
+S4 = factored_laplace(4, TustinParams(4, STEPS[:4]))
+
+
+@pytest.mark.parametrize("sampler", [complex_point, extreme_point, float_point],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize(
+    "poly",
+    [
+        factored_ztransform(3).body,
+        factored_ztransform(4).body,
+        S3.body.num,
+        S3.body.den,
+        S4.body.num,
+        S4.body.den,
+        # the second variable occurs in no term
+        LaurentPoly(3, {(2, 0, -1): Fraction(3, 7), (-3, 0, 0): -2, (0, 0, 4): 5}),
+    ],
+    ids=["z3", "z4", "s3-num", "s3-den", "s4-num", "s4-den", "unused-variable"],
+)
+def test_laurent_poly_evaluate(poly, sampler):
+    rng = random.Random(poly.arity)
+    for point in (sampler(rng, poly.arity) for _ in range(50)):
+        try:
+            expected = reference_evaluate(poly, point)
+        except (ArithmeticError, ValueError) as exc:
+            with pytest.raises(type(exc)):
+                poly.evaluate(point)
+        else:
+            assert_same(poly.evaluate(point), expected)
