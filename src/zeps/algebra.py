@@ -23,12 +23,13 @@ highest first.
 
 from __future__ import annotations
 
+import json
 import math
 import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from typing import ClassVar
 
 from .errors import (
@@ -141,8 +142,36 @@ def json_number(value: Fraction) -> dict:
     return {"num": value.numerator, "den": value.denominator}
 
 
-def _grlex_key(exponents: tuple[int, ...]) -> tuple:
-    return (sum(exponents), exponents)
+# A JSON document is declared once, as its (key, value) fields in order.
+# A value is a LaurentPoly or RationalFn, or plain JSON data.
+
+
+def _json_tree(fields: Iterable[tuple[str, object]]) -> dict:
+    """The document as a dict, each polynomial as its ``to_json_dict``."""
+    return {
+        key: value.to_json_dict() if isinstance(value, (LaurentPoly, RationalFn)) else value
+        for key, value in fields
+    }
+
+
+def _json_text(fields: Iterable[tuple[str, object]], level: int = 0) -> str:
+    """``json.dumps(_json_tree(fields), indent=2)`` nested ``level`` deep.
+
+    Each polynomial writes itself with ``to_json``; plain values go
+    through ``json.dumps`` with their lines indented to the nesting.
+    """
+    pad = "\n" + "  " * level
+    inner = pad + "  "
+    parts = [
+        f'{inner}"{key}": '
+        + (
+            value.to_json(level + 1)
+            if isinstance(value, (LaurentPoly, RationalFn))
+            else json.dumps(value, indent=2).replace("\n", inner)
+        )
+        for key, value in fields
+    ]
+    return "{" + ",".join(parts) + pad + "}"
 
 
 def _default_names(arity: int) -> tuple[str, ...]:
@@ -370,10 +399,6 @@ class LaurentPoly:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
-        """Terms in graded-lexicographic order, highest first."""
-        return sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
-
     def _at(self, bits: int) -> dict[int, int]:
         """The packed map with keys at digit width ``bits`` (never narrower)."""
         if bits == self._bits:
@@ -567,32 +592,61 @@ class LaurentPoly:
 
     # -- rendering and serialization --------------------------------------
 
+    def _walk(self) -> Iterator[tuple[tuple[int, ...], int, int]]:
+        """Each term as ``(exponents, num, den)``, graded-lexicographic, highest first.
+
+        ``num/den`` is the coefficient in lowest terms, reduced against
+        the shared denominator with one gcd; no ``Fraction`` is built.
+        Every writer reads the terms through this walk.
+        """
+        den = self._den
+        exponents = self.terms.exponents()
+        ordered = sorted(zip(map(sum, exponents), exponents, self._terms.values()), reverse=True)
+        for _, key, c in ordered:
+            common = math.gcd(c, den)
+            yield key, c // common, den // common
+
+    def _powers(self, power: Callable[[int, int], str]) -> list[dict[int, str]]:
+        """Per variable i, ``power(i, e)`` for each exponent e it takes, built once.
+
+        A term's monomial text is its exponents' entries joined in
+        variable order: ``"".join(map(dict.__getitem__, tables, exponents))``.
+        """
+        return [{e: power(i, e) for e in seen} for i, (_, _, seen) in enumerate(self.terms.spans())]
+
     def to_text(self, varnames: Sequence[str] | None = None) -> str:
         """Deterministic plain-text form, e.g. ``z1^-1*z2^-2 - z1^-2*z2^-1``."""
-        return self._render(varnames, "*", "{}^{}", rational_text)
+        return self._render(varnames, "*", "{}^{}", "{}/{}")
 
     def to_latex(self, varnames: Sequence[str] | None = None) -> str:
         """LaTeX form with explicit negative exponents, e.g. ``z_{1}^{-1}``."""
-        return self._render(varnames, " ", "{}^{{{}}}", latex_number)
+        return self._render(varnames, " ", "{}^{{{}}}", "\\frac{{{}}}{{{}}}")
 
-    def _render(self, varnames, join: str, power_fmt: str, magnitude_fmt) -> str:
+    def _render(self, varnames, join: str, power_fmt: str, fraction_fmt: str) -> str:
         """Signed terms in grlex order; a unit magnitude is shown only on constants."""
         if self.is_zero:
             return "0"
         names = tuple(varnames) if varnames else _default_names(self.arity)
+
+        def power(i: int, e: int) -> str:
+            if e == 0:
+                return ""
+            return join + (names[i] if e == 1 else power_fmt.format(names[i], e))
+
+        tables = self._powers(power)
         pieces: list[str] = []
-        for exponents, coeff in self.sorted_terms():
-            factors = [
-                names[i] if e == 1 else power_fmt.format(names[i], e)
-                for i, e in enumerate(exponents)
-                if e != 0
-            ]
-            magnitude = abs(coeff)
-            if not factors or magnitude != 1:
-                factors.insert(0, magnitude_fmt(magnitude))
-            pieces.append(f"{'-' if coeff < 0 else '+'} {join.join(factors)}")
-        text = " ".join(pieces)
-        return text[2:] if text[0] == "+" else "-" + text[2:]
+        for exponents, num, den in self._walk():
+            monomial = "".join(map(dict.__getitem__, tables, exponents))
+            magnitude = abs(num)
+            if den != 1:
+                shown = fraction_fmt.format(int_text(magnitude), int_text(den))
+            elif magnitude == 1 and monomial:
+                shown, monomial = "", monomial[len(join):]
+            else:
+                shown = int_text(magnitude)
+            pieces.append(f"{' - ' if num < 0 else ' + '}{shown}{monomial}")
+        text = "".join(pieces)
+        return text[3:] if text[1] == "+" else "-" + text[3:]
 
     def to_json_dict(self) -> dict:
         """JSON-ready dict: ``{arity, terms: [{exp, num, den}, ...]}``.
@@ -604,14 +658,34 @@ class LaurentPoly:
         return {
             "arity": self.arity,
             "terms": [
-                {
-                    "exp": list(exponents),
-                    "num": int_text(coeff.numerator),
-                    "den": int_text(coeff.denominator),
-                }
-                for exponents, coeff in self.sorted_terms()
+                {"exp": list(exponents), "num": int_text(num), "den": int_text(den)}
+                for exponents, num, den in self._walk()
             ],
         }
+
+    def to_json(self, level: int = 0) -> str:
+        """``json.dumps(self.to_json_dict(), indent=2)``, byte for byte.
+
+        Written term by term from fixed templates, with no dict built.
+        ``level`` indents every line after the first as the value of a
+        key ``level`` objects deep.
+        """
+        pad = "\n" + "  " * level
+        fields, entries, term_fields, exp_items = (pad + "  " * n for n in (1, 2, 3, 4))
+        if self.is_zero:
+            terms = "[]"
+        else:
+            tables = self._powers(lambda i, e: f"{',' if i else ''}{exp_items}{e}")
+            head = f'{entries}{{{term_fields}"exp": ['
+            num_open = f'{term_fields}],{term_fields}"num": "'
+            den_open = f'",{term_fields}"den": "'
+            close = f'"{entries}}}'
+            terms = "[" + ",".join([
+                f'{head}{"".join(map(dict.__getitem__, tables, exponents))}'
+                f"{num_open}{int_text(num)}{den_open}{int_text(den)}{close}"
+                for exponents, num, den in self._walk()
+            ]) + f"{fields}]"
+        return f'{{{fields}"arity": {self.arity},{fields}"terms": {terms}{pad}}}'
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "LaurentPoly":
@@ -682,12 +756,14 @@ class RationalFn:
             f"{{{self.den.to_latex(varnames)}}}"
         )
 
+    def _json_fields(self) -> tuple[tuple[str, object], ...]:
+        return (("arity", self.arity), ("numerator", self.num), ("denominator", self.den))
+
     def to_json_dict(self) -> dict:
-        return {
-            "arity": self.arity,
-            "numerator": self.num.to_json_dict(),
-            "denominator": self.den.to_json_dict(),
-        }
+        return _json_tree(self._json_fields())
+
+    def to_json(self, level: int = 0) -> str:
+        return _json_text(self._json_fields(), level)
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "RationalFn":
@@ -776,7 +852,7 @@ class ScaledForm:
 
     ``body`` is a :class:`LaurentPoly` or a :class:`RationalFn`.  Each
     domain subclasses this with its variable prefix, its metadata, its
-    JSON shape and its LaTeX layout.
+    JSON fields and its LaTeX layout.
     """
 
     dim: int
@@ -799,3 +875,14 @@ class ScaledForm:
         if self.scale == 1:
             return body
         return f"{self.scale} * ({body})"
+
+    def _json_fields(self) -> tuple[tuple[str, object], ...]:
+        """The JSON document's (key, value) fields, in order; each domain declares its own."""
+        raise NotImplementedError
+
+    def to_json_dict(self) -> dict:
+        return _json_tree(self._json_fields())
+
+    def to_json(self) -> str:
+        """``json.dumps(self.to_json_dict(), indent=2)``, written straight from the packed maps."""
+        return _json_text(self._json_fields())

@@ -96,7 +96,7 @@ def _build_transform(args):
 def cmd_emit(args) -> tuple[int, str]:
     result = _build_transform(args)
     if args.format == "json":
-        return EXIT_OK, json.dumps(result.to_json_dict(), indent=2)
+        return EXIT_OK, result.to_json()
     if args.format == "latex":
         return EXIT_OK, result.to_latex()
     return EXIT_OK, result.to_text()

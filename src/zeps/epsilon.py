@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 from typing import Iterator, Sequence
 
@@ -81,10 +82,16 @@ def epsilon_product(indices: Sequence[int]) -> int:
         raise UnsupportedDimensionError(
             "the product closed form needs dimension >= 2"
         )
-    value, remainder = divmod(difference_product(idx), difference_product(range(1, dim + 1)))
+    value, remainder = divmod(difference_product(idx), _identity_product(dim))
     if remainder:
         raise IdentityViolationError(f"product form left remainder {remainder} at {idx}")
-    return int(value)
+    return value
+
+
+@lru_cache(maxsize=16)
+def _identity_product(dim: int) -> int:
+    """D(1..dim) = 1! 2! ... (dim-1)!, the divisor of every ``epsilon_product`` call."""
+    return difference_product(range(1, dim + 1))
 
 
 def epsilon_generalized(indices: Sequence[int], values: Sequence) -> "Fraction | complex":

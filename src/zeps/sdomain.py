@@ -178,14 +178,14 @@ class LaplaceResult(ScaledForm):
             return fraction
         return f"{latex_number(self.scale)} \\, {fraction}"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "T": [json_number(t) for t in self.params.steps],
-            "scale": json_number(self.scale),
-            "numerator": self.body.num.to_json_dict(),
-            "denominator": self.body.den.to_json_dict(),
-        }
+    def _json_fields(self) -> tuple[tuple[str, object], ...]:
+        return (
+            ("dim", self.dim),
+            ("T", [json_number(t) for t in self.params.steps]),
+            ("scale", json_number(self.scale)),
+            ("numerator", self.body.num),
+            ("denominator", self.body.den),
+        )
 
 
 def _laplace_params(dim: int, params: TustinParams | None) -> TustinParams:

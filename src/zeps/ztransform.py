@@ -76,18 +76,13 @@ class TransformResult(ScaledForm):
             return body
         return f"{latex_number(self.scale)} \\left( {body} \\right)"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "scale": json_number(self.scale),
-            "body": self.body.to_json_dict(),
-            "roc": list(self.roc),
-        }
-
-
-def heaviside(n: int, n0: int) -> int:
-    """Discrete unit step: 0 while n < n0, 1 from n0 on."""
-    return 0 if n < n0 else 1
+    def _json_fields(self) -> tuple[tuple[str, object], ...]:
+        return (
+            ("dim", self.dim),
+            ("scale", json_number(self.scale)),
+            ("body", self.body),
+            ("roc", list(self.roc)),
+        )
 
 
 def moment_matrix(dim: int, keys: Sequence[tuple]) -> list[list]:

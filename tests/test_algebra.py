@@ -1,4 +1,5 @@
 import json
+import os
 import random
 from fractions import Fraction
 
@@ -12,6 +13,8 @@ from zeps.errors import (
     EvaluationPoleError,
     InputDomainError,
 )
+from zeps.sdomain import LaplaceResult, TustinParams, factored_laplace
+from zeps.ztransform import TransformResult, factored_ztransform
 
 
 def P(arity, terms):
@@ -364,3 +367,156 @@ class TestSerialization:
         assert p.to_latex(("z_{1}", "z_{2}")) == (
             "z_{1}^{-1} z_{2}^{-2} - z_{1}^{-2} z_{2}^{-1}"
         )
+
+
+# -- the writers, held to their references ----------------------------------
+#
+# ``reference_render`` is a literal copy of the renderer the writers
+# replaced: terms sorted through ``Fraction`` coefficients, one factor
+# list per term.  ``to_text``/``to_latex`` must match it byte for byte,
+# and ``to_json`` must match ``json.dumps(to_json_dict(), indent=2)``.
+
+PAST_CAP = 10**4400  # past Python's 4,300-digit int-to-str cap
+
+
+def reference_sorted_terms(poly):
+    return sorted(poly.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+
+
+def reference_rational_text(value):
+    if value.denominator == 1:
+        return int_text(value.numerator)
+    return f"{int_text(value.numerator)}/{int_text(value.denominator)}"
+
+
+def reference_latex_number(value):
+    if value.denominator == 1:
+        return int_text(value.numerator)
+    return f"\\frac{{{int_text(value.numerator)}}}{{{int_text(value.denominator)}}}"
+
+
+def reference_render(poly, varnames, join, power_fmt, magnitude_fmt):
+    if poly.is_zero:
+        return "0"
+    names = tuple(varnames) if varnames else tuple(f"x{i}" for i in range(1, poly.arity + 1))
+    pieces = []
+    for exponents, coeff in reference_sorted_terms(poly):
+        factors = [
+            names[i] if e == 1 else power_fmt.format(names[i], e)
+            for i, e in enumerate(exponents)
+            if e != 0
+        ]
+        magnitude = abs(coeff)
+        if not factors or magnitude != 1:
+            factors.insert(0, magnitude_fmt(magnitude))
+        pieces.append(f"{'-' if coeff < 0 else '+'} {join.join(factors)}")
+    text = " ".join(pieces)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
+def reference_text(poly, varnames=None):
+    return reference_render(poly, varnames, "*", "{}^{}", reference_rational_text)
+
+
+def reference_latex(poly, varnames=None):
+    return reference_render(poly, varnames, " ", "{}^{{{}}}", reference_latex_number)
+
+
+def dumped(document):
+    return json.dumps(document.to_json_dict(), indent=2)
+
+
+def assert_same(written, expected):
+    """``written == expected``, failing with the first difference only.
+
+    pytest's own diff is quadratic in the length, and these texts run to
+    megabytes.
+    """
+    if written != expected:
+        at = len(os.path.commonprefix([written, expected]))
+        window = slice(max(at - 60, 0), at + 60)
+        pytest.fail(f"first difference at {at}: {written[window]!r} vs {expected[window]!r}")
+
+
+@st.composite
+def wide_polys(draw, arity=None):
+    """Arity 1-6, exponents from small to 40-bit, integer or rational
+    coefficients over one shared denominator, some past the digit cap."""
+    if arity is None:
+        arity = draw(st.integers(1, 6))
+    exponent = st.integers(-4, 4) | st.integers(-(2**40), 2**40)
+    numerator = st.integers(-30, 30)
+    dens = (1, 2, 12)
+    if draw(st.booleans()):  # long coefficients: slow to print, so not in every example
+        numerator = numerator | numerator.map(lambda n: n * PAST_CAP + 7)
+        dens += (3**9100,)
+    den = draw(st.sampled_from(dens))
+    terms = draw(st.dictionaries(st.tuples(*[exponent] * arity), numerator, max_size=6))
+    return LaurentPoly(arity, {e: Fraction(c, den) for e, c in terms.items()})
+
+
+@st.composite
+def result_documents(draw):
+    """A ``TransformResult`` or ``LaplaceResult`` around random polynomials."""
+    dim = draw(st.integers(2, 6))
+    scale = draw(st.fractions(min_value=-9, max_value=9, max_denominator=300))
+    if draw(st.booleans()):
+        return TransformResult(dim, scale, draw(wide_polys(dim)))
+    den = draw(wide_polys(dim).filter(bool))
+    step = st.fractions(min_value=Fraction(1, 99), max_value=99)
+    params = TustinParams(dim, tuple(draw(st.lists(step, min_size=dim, max_size=dim))))
+    return LaplaceResult(dim, scale, RationalFn(draw(wide_polys(dim)), den), params)
+
+
+class TestWriters:
+    @given(wide_polys(), st.booleans())
+    def test_text_and_latex_match_the_reference(self, poly, named):
+        names = tuple(f"v{q}" for q in range(1, poly.arity + 1)) if named else None
+        assert_same(poly.to_text(names), reference_text(poly, names))
+        assert_same(poly.to_latex(names), reference_latex(poly, names))
+
+    @given(wide_polys())
+    def test_json_matches_json_dumps(self, poly):
+        assert_same(poly.to_json(), dumped(poly))
+
+    @given(wide_polys(1), wide_polys(1).filter(bool))
+    def test_rational_fn_json_matches_json_dumps(self, num, den):
+        assert_same(RationalFn(num, den).to_json(), dumped(RationalFn(num, den)))
+
+    @given(result_documents())
+    def test_result_json_matches_json_dumps(self, result):
+        assert_same(result.to_json(), dumped(result))
+
+    @pytest.mark.parametrize("arity", range(1, 7))
+    def test_zero_polynomial(self, arity):
+        zero = LaurentPoly.zero(arity)
+        assert_same(zero.to_json(), dumped(zero))
+        assert zero.to_text() == reference_text(zero) == "0"
+        assert zero.to_latex() == reference_latex(zero) == "0"
+
+    @pytest.mark.parametrize("level", range(4))
+    def test_json_nests_at_any_level(self, level):
+        poly = P(2, {(1, -1): Fraction(-3, 4), (0, 0): 5})
+        document = poly.to_json_dict()
+        written = poly.to_json(level)
+        for depth in reversed(range(level)):
+            document = {"key": document}
+            pad = "  " * depth
+            written = f'{{\n{pad}  "key": {written}\n{pad}}}'
+        assert_same(written, json.dumps(document, indent=2))
+
+    @pytest.mark.parametrize("dim", range(2, 7))
+    def test_emitted_transforms(self, dim):
+        result = factored_ztransform(dim)
+        assert_same(result.to_json(), dumped(result))
+        names, latex_names = result.varnames(), result.latex_names()
+        assert_same(result.body.to_text(names), reference_text(result.body, names))
+        assert_same(result.body.to_latex(latex_names), reference_latex(result.body, latex_names))
+
+    @pytest.mark.parametrize("dim", range(2, 6))
+    def test_emitted_laplace_forms(self, dim):
+        steps = ("1/2", "1", "3/2", "2", "5/2")[:dim]
+        result = factored_laplace(dim, TustinParams(dim, steps))
+        assert_same(result.to_json(), dumped(result))
+        for poly in (result.body.num, result.body.den):
+            assert_same(poly.to_text(result.varnames()), reference_text(poly, result.varnames()))

@@ -60,6 +60,14 @@ GOLDEN = (
     ("emit --domain z --dim 6 --format json", 0, "64b7263be587c19084c8211e7bc0f2e9ff1dc06d4fa96fd7ba07163b1cf40544"),
     ("emit --domain s --dim 5 --T 1 --format json", 0, "1dc1e3bfde8edc2781920812389894809920cdab8f61efb17ea0d93f2b40e082"),
     ("emit --domain s --dim 5 --T 1/2,1,3/2,2,5/2 --format latex", 0, "6f6e4bbcbcaeee569074c6486f4620e5c86a9bf9e09d28501d05e02a3e087fa2"),
+    ("emit --domain s --dim 5 --T 1 --format text", 0, "be538c1d6702c46dfce17a16e56e32bcea1dcf7a6bb47524dd1979e5eb2f45fa"),
+    ("emit --domain s --dim 5 --T 1/2,1,3/2,2,5/2 --format text", 0, "ee537dd65d417ce8e64edbee5888b99188eb9648ef06212749fdd5f6f90e5054"),
+    ("emit --domain s --dim 5 --T 1/2,1,3/2,2,5/2 --format json", 0, "c1c6318f068a6333c4101c323f2b891d3f06ad849b8326711c651e46e9cc88e4"),
+    ("emit --domain z --dim 6 --format text", 0, "ae65220acbcbcd27fa7c7388f81b7fed8948d8e51c4b22eafb5a848beb890642"),
+    ("emit --domain z --dim 6 --format latex", 0, "b69660bf9523358ee7bb2f3a64814f341d6a46b11f1681173e3c36eb679964e2"),
+    # coefficients of 4,501 digits, past Python's int-to-str cap
+    ("emit --domain s --dim 3 --T 1e500 --format json", 0, "5123493947f82e73df1ee58b1e175241982fd0aae1a83cdb93fe83f98c30c0b9"),
+    ("emit --domain s --dim 3 --T 1e500 --format text", 0, "f261e0316bfa9d26eef9b3dfdb5aa3b74823cf44397a1461dab026da823ba06a"),
     ("report --dim 2 --T 1/2 --format text", 0, "9eb6dd75986a25f0da4cb21b61660345992627bf64f310a82c64db2a83396282"),
     ("report --dim 2 --T 1/2 --format json", 0, "fc78984eb0802d5f3c8d56ef2f78cc21065cd915dad7dacda31c3bbe25b3d875"),
     ("verify --dim 3 --seed 7 --samples 10", 0, "6169bf26dbe5964f2f34b492fada257820921e44729f2c250ec3c78c7233a660"),

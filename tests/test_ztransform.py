@@ -13,12 +13,16 @@ from zeps.ztransform import (
     compact_form_3d,
     determinant_ztransform,
     factored_ztransform,
-    heaviside,
     s_sum,
     scale_constant,
 )
 
 TWO_D_BODY = LaurentPoly(2, {(-1, -2): 1, (-2, -1): -1})
+
+
+def heaviside(n: int, n0: int) -> int:
+    """Discrete unit step: 0 while n < n0, 1 from n0 on; the window reference."""
+    return 0 if n < n0 else 1
 
 
 class TestHeaviside:
