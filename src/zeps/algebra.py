@@ -224,11 +224,12 @@ def _reduce(terms: dict[int, int], den: int) -> tuple[dict[int, int], int]:
 
 
 def _fill(poly, arity: int, terms: dict[int, int], den: int, bits: int, reach: int):
-    for name, value in (
-        ("arity", arity), ("_terms", terms), ("_den", den),
-        ("_bits", bits), ("_reach", reach), ("_view", None),
-    ):
-        object.__setattr__(poly, name, value)
+    object.__setattr__(poly, "arity", arity)
+    object.__setattr__(poly, "_terms", terms)
+    object.__setattr__(poly, "_den", den)
+    object.__setattr__(poly, "_bits", bits)
+    object.__setattr__(poly, "_reach", reach)
+    object.__setattr__(poly, "_view", None)
     return poly
 
 
@@ -241,6 +242,32 @@ def _constant(arity: int, value) -> "LaurentPoly":
     """The constant polynomial for an ``int`` or ``Fraction``."""
     terms = {0: value.numerator} if value else {}
     return _made(arity, terms, value.denominator, _MIN_BITS, 0)
+
+
+def _sum_of_products(arity: int, products, den: int, reach: int) -> "LaurentPoly":
+    """``(1/den) * sum(factor * A * B)`` over ``(factor, a, b)`` in ``products``.
+
+    ``A`` and ``B`` are the packed numerator maps of ``a`` and ``b``; the
+    caller picks each ``factor`` to put its product over ``den``.
+    ``reach`` bounds every product's exponents and sets the one digit
+    width.  All products accumulate in one map; cancelled terms are
+    dropped and the map is reduced once, at the end.  ``a * b`` is the
+    one-product case.
+    """
+    bits = _bits_for(reach)
+    total: dict[int, int] = {}
+    get = total.get
+    for factor, a, b in products:
+        b_items = list(b._at(bits).items())
+        for ka, ca in a._at(bits).items():
+            ca *= factor
+            for kb, cb in b_items:
+                key = ka + kb
+                total[key] = get(key, 0) + ca * cb
+    if 0 in total.values():
+        total = {k: c for k, c in total.items() if c}
+    total, den = _reduce(total, den)
+    return _made(arity, total, den, bits, reach)
 
 
 class TermView(Mapping):
@@ -475,23 +502,9 @@ class LaurentPoly:
             scaled, den = _reduce(scaled, self._den * other.denominator)
             return _made(self.arity, scaled, den, self._bits, self._reach)
         rhs = self._coerce(other)
-        reach = self._reach + rhs._reach
-        bits = max(self._bits, rhs._bits)
-        if reach >> (bits - 1):
-            bits = _bits_for(reach)
-        rhs_items = list(rhs._at(bits).items())
-        product: dict[int, int] = {}
-        get = product.get
-        for ka, ca in self._at(bits).items():
-            for kb, cb in rhs_items:
-                key = ka + kb
-                total = get(key, 0) + ca * cb
-                if total:
-                    product[key] = total
-                else:
-                    del product[key]
-        product, den = _reduce(product, self._den * rhs._den)
-        return _made(self.arity, product, den, bits, reach)
+        return _sum_of_products(
+            self.arity, ((1, self, rhs),), self._den * rhs._den, self._reach + rhs._reach
+        )
 
     __rmul__ = __mul__
 
@@ -780,11 +793,13 @@ class RationalFn:
 def det(matrix: Sequence[Sequence]):
     """Determinant of a small square matrix of ring elements.
 
-    Works for any elements supporting ``+``, unary ``-`` and ``*``
-    (here: :class:`LaurentPoly`).  Uses cofactor expansion with
-    memoization over column subsets, so each minor is computed once.
-    The side is capped at ``MAX_DET_SIDE``.  Entries of different arities
-    raise :class:`InputDomainError` at the first ``*`` or ``+`` mixing them.
+    Cofactor expansion, memoized over column subsets so each minor is
+    computed once.  With :class:`LaurentPoly` entries, each minor is one
+    accumulation: sum_i +-entry_i * minor_i goes into a single packed map
+    over the least common denominator (``_sum_of_products``), and entries
+    of different arities raise :class:`InputDomainError`.  Any other
+    elements supporting ``+`` and ``*`` (``int``, ``Fraction``) take the
+    generic ``sum``.  The side is capped at ``MAX_DET_SIDE``.
     """
     n = len(matrix)
     if n == 0 or any(len(row) != n for row in matrix):
@@ -792,22 +807,35 @@ def det(matrix: Sequence[Sequence]):
     if n > MAX_DET_SIDE:
         raise InputDomainError(f"determinant side capped at {MAX_DET_SIDE}, got {n}")
 
+    entries = [entry for row in matrix for entry in row]
+    if all(isinstance(entry, LaurentPoly) for entry in entries):
+        arity = entries[0].arity
+        for entry in entries:
+            if entry.arity != arity:
+                raise InputDomainError(f"arity mismatch: {arity} vs {entry.arity}")
+
+        def expand(signed):
+            den = math.lcm(*(a._den * b._den for _, a, b in signed))
+            reach = max(a._reach + b._reach for _, a, b in signed)
+            products = [(sign * (den // (a._den * b._den)), a, b) for sign, a, b in signed]
+            return _sum_of_products(arity, products, den, reach)
+    else:
+
+        def expand(signed):
+            return sum(sign * a * b for sign, a, b in signed)
+
     memo: dict[tuple[int, ...], object] = {}
 
     def minor(cols: tuple[int, ...]):
         row = n - len(cols)
         if len(cols) == 1:
             return matrix[row][cols[0]]
-        if cols in memo:
-            return memo[cols]
-        total = None
-        for i, c in enumerate(cols):
-            term = matrix[row][c] * minor(cols[:i] + cols[i + 1 :])
-            if i % 2:
-                term = -term
-            total = term if total is None else total + term
-        memo[cols] = total
-        return total
+        if cols not in memo:
+            memo[cols] = expand([
+                (-1 if i % 2 else 1, matrix[row][c], minor(cols[:i] + cols[i + 1 :]))
+                for i, c in enumerate(cols)
+            ])
+        return memo[cols]
 
     return minor(tuple(range(n)))
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import ClassVar, Sequence
 
 from .algebra import (
@@ -148,6 +149,7 @@ def brute_force_ztransform(dim: int) -> TransformResult:
     return TransformResult(dim, Fraction(1), LaurentPoly(dim, terms))
 
 
+@lru_cache(maxsize=16, typed=True)
 def determinant_ztransform(dim: int) -> TransformResult:
     """The paper's closed form: scaled determinant of the moment-sum matrix.
 
@@ -155,7 +157,10 @@ def determinant_ztransform(dim: int) -> TransformResult:
     ``moment_matrix``, p = 0..dim-1 down and q = 1..dim across; the
     determinant divided by ``scale_constant(dim)`` reproduces the
     brute-force transform exactly.  Built by cofactor expansion, it is
-    the oracle that ``factored_ztransform`` is checked against.
+    the oracle that ``factored_ztransform`` is checked against.  Cached,
+    because ``verify`` reads it in two checks; the result is immutable.
+    ``typed`` keeps a float or ``Fraction`` dim from reusing an int's
+    entry past ``require_dim``.
     """
     require_dim(dim, MAX_DIM)
     body = det(moment_matrix(dim, _z_keys(dim)))

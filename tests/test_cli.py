@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 import zeps.verify
-from zeps.algebra import LaurentPoly, RationalFn
+from zeps.algebra import LaurentPoly, RationalFn, det
 from zeps.cli import EXIT_EVALUATION, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, main
 from zeps.sdomain import TustinParams, factored_laplace, laplace_determinant
 from zeps.ztransform import determinant_ztransform, factored_ztransform
@@ -137,6 +137,21 @@ class TestVerify:
     def test_dim_out_of_range(self, capsys):
         code, _, err = run(capsys, "verify", "--dim", "7")
         assert code == EXIT_USAGE
+
+    def test_verify_builds_the_z_determinant_once(self, capsys, monkeypatch):
+        # the oracle check and the Tustin check share one cached build
+        calls = []
+
+        def counted(matrix):
+            calls.append(len(matrix))
+            return det(matrix)
+
+        monkeypatch.setattr("zeps.ztransform.det", counted)
+        determinant_ztransform.cache_clear()
+        code, _, _ = run(capsys, "verify", "--dim", "4", "--samples", "2")
+        determinant_ztransform.cache_clear()
+        assert code == EXIT_OK
+        assert calls == [4]
 
     def test_failed_check_gives_distinct_exit_code(self, capsys, monkeypatch):
         # force one check to fail to pin down the exit-code contract

@@ -4,7 +4,9 @@ The reference keeps terms the obvious way, as a dict from exponent tuple
 to ``Fraction``, and shares no code with ``zeps.algebra``.  Exponents
 include the edges of each packing width and values of +-10**6 and beyond,
 so a key that wrapped or a digit read back wrong shows up as a term
-mismatch.
+mismatch.  ``det``, which sums each minor's products in one packed map,
+is held to ``old_det``, a verbatim copy of the cofactor expansion that
+summed them one ring operation at a time.
 """
 
 from fractions import Fraction
@@ -13,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zeps.algebra import LaurentPoly
-from zeps.errors import EvaluationPoleError
+from zeps.algebra import MAX_DET_SIDE, LaurentPoly, det
+from zeps.errors import EvaluationPoleError, InputDomainError
 
 WIDE = [
     10**6, -(10**6), 2**15 - 1, -(2**15), 2**15, -(2**15) - 1,
@@ -194,3 +196,117 @@ def test_terms_view_is_read_only():
 def test_pole_at_zero_with_negative_exponent():
     with pytest.raises(EvaluationPoleError):
         LaurentPoly(2, {(0, -(10**6)): 1}).evaluate((1, 0))
+
+
+# -- determinant ----------------------------------------------------------
+
+
+def old_det(matrix):
+    """``det`` as it was before each minor became one accumulation, verbatim."""
+    n = len(matrix)
+    if n == 0 or any(len(row) != n for row in matrix):
+        raise InputDomainError("determinant needs a non-empty square matrix")
+    if n > MAX_DET_SIDE:
+        raise InputDomainError(f"determinant side capped at {MAX_DET_SIDE}, got {n}")
+
+    memo: dict[tuple[int, ...], object] = {}
+
+    def minor(cols: tuple[int, ...]):
+        row = n - len(cols)
+        if len(cols) == 1:
+            return matrix[row][cols[0]]
+        if cols in memo:
+            return memo[cols]
+        total = None
+        for i, c in enumerate(cols):
+            term = matrix[row][c] * minor(cols[:i] + cols[i + 1 :])
+            if i % 2:
+                term = -term
+            total = term if total is None else total + term
+        memo[cols] = total
+        return total
+
+    return minor(tuple(range(n)))
+
+
+@st.composite
+def poly_matrices(draw, min_side=1):
+    """Square LaurentPoly matrices of side min_side..4, each entry over its own denominators."""
+    side = draw(st.integers(min_side, 4))
+    arity = draw(st.integers(1, 3))
+    return [
+        [LaurentPoly(arity, draw(term_maps(arity))) for _ in range(side)]
+        for _ in range(side)
+    ]
+
+
+SCALARS = st.one_of(st.integers(-20, 20), COEFFS)
+
+
+@PROPERTY
+@given(poly_matrices())
+def test_det_matches_the_old_cofactor_expansion(matrix):
+    new, old = det(matrix), old_det(matrix)
+    assert new == old
+    assert dict(new.terms) == dict(old.terms)
+
+
+@PROPERTY
+@given(poly_matrices(min_side=2), st.data())
+def test_det_with_two_equal_rows_is_zero(matrix, data):
+    i, j = data.draw(st.lists(st.integers(0, len(matrix) - 1), min_size=2, max_size=2, unique=True))
+    matrix[j] = list(matrix[i])
+    assert det(matrix).is_zero
+    assert old_det(matrix).is_zero
+
+
+@PROPERTY
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(SCALARS, min_size=n, max_size=n), min_size=n, max_size=n)
+))
+def test_det_of_scalars_takes_the_generic_sum(matrix):
+    new, old = det(matrix), old_det(matrix)
+    assert new == old and type(new) is type(old)
+
+
+def test_det_of_scalars_and_polynomials_takes_the_generic_sum():
+    x = LaurentPoly.variable(2, 1, -3)
+    matrix = [[x, 2, Fraction(1, 3)], [1, x * x, x], [Fraction(-5, 2), 7, x + 1]]
+    assert det(matrix) == old_det(matrix)
+
+
+@pytest.mark.parametrize("edge", [2**15, 2**31])
+def test_det_repacks_at_the_width_edges(edge):
+    # every entry fits the narrower width, but x^(edge-1) * x^1 does not
+    matrix = [
+        [LaurentPoly.monomial(2, (edge - 1, -1), Fraction(1, 3)), LaurentPoly.constant(2, Fraction(1, 2))],
+        [LaurentPoly.monomial(2, (0, -1)), LaurentPoly.monomial(2, (1, 1 - edge), Fraction(5, 7))],
+    ]
+    new = det(matrix)
+    assert new == old_det(matrix)
+    assert dict(new.terms) == {(edge, -edge): Fraction(5, 21), (0, -1): Fraction(-1, 2)}
+
+
+@pytest.mark.parametrize("position", [(0, 1), (2, 2), (1, 0)])
+def test_det_rejects_mixed_arity_anywhere(position):
+    matrix = [[LaurentPoly.constant(2, k + 1) for k in range(3)] for _ in range(3)]
+    row, col = position
+    matrix[row][col] = LaurentPoly.constant(3, 1)
+    with pytest.raises(InputDomainError):
+        det(matrix)
+
+
+def test_det_rejects_arities_that_agree_within_each_product():
+    # x1 * x1 and y2 * y2 are each well formed; their sum is not
+    x, y = LaurentPoly.variable(1, 1), LaurentPoly.variable(2, 2)
+    with pytest.raises(InputDomainError):
+        det([[x, y], [y, x]])
+    with pytest.raises(InputDomainError):
+        old_det([[x, y], [y, x]])
+
+
+def test_det_side_cap_still_applies():
+    one = LaurentPoly.constant(1, 1)
+    det([[one] * MAX_DET_SIDE for _ in range(MAX_DET_SIDE)])
+    with pytest.raises(InputDomainError):
+        det([[one] * (MAX_DET_SIDE + 1) for _ in range(MAX_DET_SIDE + 1)])
