@@ -878,14 +878,13 @@ def vandermonde(xs: Sequence) -> "Fraction | complex":
 class ScaledForm:
     """A closed form ``scale * body`` in the variables ``<prefix>1..<prefix>dim``.
 
-    ``body`` is a :class:`LaurentPoly` or a :class:`RationalFn`.  Each
-    domain subclasses this with its variable prefix, its metadata, its
+    Each domain subclasses this with its ``body`` (a :class:`LaurentPoly`
+    or a :class:`RationalFn`), its variable prefix, its metadata, its
     JSON fields and its LaTeX layout.
     """
 
     dim: int
     scale: Fraction
-    body: "LaurentPoly | RationalFn"
 
     prefix: ClassVar[str] = "x"
 

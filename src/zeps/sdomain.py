@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from typing import Callable, ClassVar, Sequence
 
 from .algebra import (
@@ -119,13 +119,12 @@ def _tustin_keys(params: TustinParams, xs: Sequence | None = None) -> list[tuple
     return [(2 - step * x, 2 + step * x) for step, x in zip(params.steps, xs)]
 
 
-@lru_cache(maxsize=16)
 def _denominator_product(params: TustinParams) -> LaurentPoly:
-    """prod_q (2 + T_q s_q)^dim -- the shared pole structure.
+    """prod_q (2 + T_q s_q)^dim, expanded: the pole product of every Laplace form.
 
-    Cached because ``verify`` builds both Laplace forms for the same
-    steps, and ``LaplaceResult.to_latex`` compares against it after a
-    build; at dim 5 it has 7,776 terms.
+    Each ``LaplaceResult`` expands it once, on the first read of its
+    ``body``; nothing shares it between results.  At dim 5 it has 7,776
+    terms.
     """
     return math.prod(v**params.dim for _, v in _tustin_keys(params))
 
@@ -146,33 +145,33 @@ def r_sum(dim: int, p: int, q: int, params: TustinParams) -> RationalFn:
 
 @dataclass(frozen=True)
 class LaplaceResult(ScaledForm):
-    """One Laplace-domain closed form: ``scale * body`` with its step constants.
+    """One Laplace-domain closed form: ``scale * numerator / pole product``.
 
-    ``body`` is a :class:`RationalFn` whose denominator vanishes only on
-    the hyperplanes T_q s_q = -2.
+    Every Laplace form divides by the pole product
+    prod_q (2 + T_q s_q)^dim, which the steps alone determine, so a
+    result stores only its numerator and ``params``.  ``body`` is the
+    :class:`RationalFn` over the expanded pole product, built on its
+    first read; its denominator vanishes only on the hyperplanes
+    T_q s_q = -2.
     """
 
+    numerator: LaurentPoly
     params: TustinParams
 
     prefix: ClassVar[str] = "s"
 
-    def to_latex(self) -> str:
-        """LaTeX with the denominator as the product of Tustin's pole factors.
+    @cached_property
+    def body(self) -> RationalFn:
+        return RationalFn(self.numerator, _denominator_product(self.params))
 
-        Each factor 2 + T_q s_q is raised to the dim-th power, but only
-        after checking that the body denominator really is
-        prod_q (2 + T_q s_q)^dim; otherwise the expanded denominator is
-        used verbatim.
-        """
+    def to_latex(self) -> str:
+        """LaTeX with the denominator as Tustin's pole factors, each (2 + T_q s_q)^dim."""
         names = self.latex_names()
-        numerator = self.body.num.to_latex(names)
-        if self.body.den == _denominator_product(self.params):
-            denominator = " ".join(
-                f"\\left({v.to_latex(names)}\\right)^{{{self.dim}}}"
-                for _, v in _tustin_keys(self.params)
-            )
-        else:
-            denominator = self.body.den.to_latex(names)
+        numerator = self.numerator.to_latex(names)
+        denominator = " ".join(
+            f"\\left({v.to_latex(names)}\\right)^{{{self.dim}}}"
+            for _, v in _tustin_keys(self.params)
+        )
         fraction = f"\\frac{{{numerator}}}{{{denominator}}}"
         if self.scale == 1:
             return fraction
@@ -183,7 +182,7 @@ class LaplaceResult(ScaledForm):
             ("dim", self.dim),
             ("T", [json_number(t) for t in self.params.steps]),
             ("scale", json_number(self.scale)),
-            ("numerator", self.body.num),
+            ("numerator", self.numerator),
             ("denominator", self.body.den),
         )
 
@@ -215,8 +214,7 @@ def laplace_determinant(dim: int, params: TustinParams | None = None) -> Laplace
     """
     params = _laplace_params(dim, params)
     numerators = moment_matrix(dim, _tustin_keys(params))
-    body = RationalFn(det(numerators), _denominator_product(params))
-    return LaplaceResult(dim, Fraction(1, scale_constant(dim)), body, params)
+    return LaplaceResult(dim, Fraction(1, scale_constant(dim)), det(numerators), params)
 
 
 def factored_laplace(dim: int, params: TustinParams | None = None) -> LaplaceResult:
@@ -234,8 +232,7 @@ def factored_laplace(dim: int, params: TustinParams | None = None) -> LaplaceRes
     keys = [u for u, _ in _tustin_keys(params)]
     scale = scale_constant(dim)
     numerator = scale * 4 ** (dim * (dim - 1) // 2) * difference_product([0, *keys])
-    body = RationalFn(numerator, _denominator_product(params))
-    return LaplaceResult(dim, Fraction(1, scale), body, params)
+    return LaplaceResult(dim, Fraction(1, scale), numerator, params)
 
 
 def _bilinear_images(coords: Sequence, params: TustinParams) -> list:
@@ -289,8 +286,7 @@ def laplace_2d_closed(params: TustinParams) -> LaplaceResult:
         * (step * s1 - 2)
         * (step * s2 - 2)
     )
-    denominator = _denominator_product(params)
-    return LaplaceResult(2, Fraction(1), RationalFn(numerator, denominator), params)
+    return LaplaceResult(2, Fraction(1), numerator, params)
 
 
 def laplace_compact_3d(params: TustinParams | None = None) -> Callable:

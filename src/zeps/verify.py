@@ -5,11 +5,11 @@ parity (exhaustive); the factored Z-domain form that ``emit`` prints
 against the determinant and brute-force summation (exact polynomial
 equality); and the factored Laplace form against the Laplace
 determinant (exact polynomial equality), with that determinant against
-the Z-domain form composed with the bilinear map and against both
-factored routes that ``eval`` takes (exact equality at seeded random
-rational points).  All sampling uses an
-explicit ``random.Random`` instance so identical seeds reproduce
-identical sweeps everywhere.
+the factored Z-domain form composed with the bilinear map and against
+both factored routes that ``eval`` takes (exact equality at seeded
+random rational points).  All sampling uses an explicit
+``random.Random`` instance so identical seeds reproduce identical
+sweeps everywhere.
 """
 
 from __future__ import annotations
@@ -146,12 +146,16 @@ def check_tustin_consistency(
     """Factored Laplace form vs the Laplace determinant, then the bilinear map.
 
     The factored form, the one ``emit`` prints, must equal the Laplace
-    determinant term for term: scale, numerator and denominator.  The
-    determinant is then checked against the Z-domain determinant
-    composed with the bilinear map at exact rational s-points, so both
-    routes evaluate with no rounding and are compared for equality: any
-    difference is a true algebraic mismatch.  At each point the two
-    values ``eval`` prints, ``factored_value`` at the mapped z-point and
+    determinant term for term: scale, numerator and steps, which fix the
+    pole product both divide by.  The determinant is then checked
+    against the factored Z-domain form composed with the bilinear map
+    at exact rational s-points.  That z-route is the form ``emit``
+    prints, which the oracle check holds equal to the Z-domain
+    determinant and to brute force; the s-route divides by the expanded
+    pole product, so the expansion is checked too.  Both routes evaluate
+    with no rounding and are compared for equality: any difference is a
+    true algebraic mismatch.  At each point the two values ``eval``
+    prints, ``factored_value`` at the mapped z-point and
     ``factored_laplace_value`` at the s-point, must equal them too; a
     failing point gives one detail line with all four values.  (The
     expanded higher-dimensional numerators cancel catastrophically
@@ -159,7 +163,7 @@ def check_tustin_consistency(
     """
     if params is None:
         params = TustinParams.uniform(dim)
-    z_form = determinant_ztransform(dim)
+    z_form = factored_ztransform(dim)
     s_form = laplace_determinant(dim, params)
     factored = factored_laplace(dim, params)
     rng = random.Random(seed)

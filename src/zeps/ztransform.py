@@ -18,13 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import ClassVar, Sequence
 
 from .algebra import (
     LaurentPoly, ScaledForm, det, difference_product, json_number, latex_number, vandermonde,
 )
-from .epsilon import enumerate_indices, gamma_int, sign_oracle
+from .epsilon import _identity_product, enumerate_indices, gamma_int, sign_oracle
 from .errors import EvaluationPoleError, InputDomainError, UnsupportedDimensionError
 
 MIN_DIM = 2
@@ -55,6 +54,8 @@ class TransformResult(ScaledForm):
     ``body`` is a Laurent polynomial in z_1..z_dim whose exponents all
     lie in [-dim, -1] per variable (the summation window is 1..dim).
     """
+
+    body: LaurentPoly
 
     prefix: ClassVar[str] = "z"
 
@@ -128,10 +129,11 @@ def scale_constant(dim: int) -> int:
     """Denominator of the symbol's product form at the identity tuple.
 
     The difference product prod_{i<j} (j - i) over 1..dim, which equals
-    the factorial product 1! * 2! * ... * (dim-1)!.
+    the factorial product 1! * 2! * ... * (dim-1)!: the divisor that
+    ``epsilon_product`` computes once per dim.
     """
     require_dim(dim)
-    return difference_product(range(1, dim + 1))
+    return _identity_product(dim)
 
 
 def brute_force_ztransform(dim: int) -> TransformResult:
@@ -149,18 +151,15 @@ def brute_force_ztransform(dim: int) -> TransformResult:
     return TransformResult(dim, Fraction(1), LaurentPoly(dim, terms))
 
 
-@lru_cache(maxsize=16, typed=True)
 def determinant_ztransform(dim: int) -> TransformResult:
     """The paper's closed form: scaled determinant of the moment-sum matrix.
 
     Entry (row p, column q) of the dim x dim matrix is S(p, q) from
     ``moment_matrix``, p = 0..dim-1 down and q = 1..dim across; the
     determinant divided by ``scale_constant(dim)`` reproduces the
-    brute-force transform exactly.  Built by cofactor expansion, it is
-    the oracle that ``factored_ztransform`` is checked against.  Cached,
-    because ``verify`` reads it in two checks; the result is immutable.
-    ``typed`` keeps a float or ``Fraction`` dim from reusing an int's
-    entry past ``require_dim``.
+    brute-force transform exactly.  Built by cofactor expansion on every
+    call, it is the oracle that ``factored_ztransform`` is checked
+    against; ``verify`` builds it once, in the oracle check.
     """
     require_dim(dim, MAX_DIM)
     body = det(moment_matrix(dim, _z_keys(dim)))

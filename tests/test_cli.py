@@ -8,7 +8,7 @@ import pytest
 import zeps.verify
 from zeps.algebra import LaurentPoly, RationalFn, det
 from zeps.cli import EXIT_EVALUATION, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, main
-from zeps.sdomain import TustinParams, factored_laplace, laplace_determinant
+from zeps.sdomain import TustinParams, _denominator_product, factored_laplace, laplace_determinant
 from zeps.ztransform import determinant_ztransform, factored_ztransform
 
 
@@ -139,7 +139,7 @@ class TestVerify:
         assert code == EXIT_USAGE
 
     def test_verify_builds_the_z_determinant_once(self, capsys, monkeypatch):
-        # the oracle check and the Tustin check share one cached build
+        # the oracle check builds it; the Tustin check reads the factored form
         calls = []
 
         def counted(matrix):
@@ -147,11 +147,23 @@ class TestVerify:
             return det(matrix)
 
         monkeypatch.setattr("zeps.ztransform.det", counted)
-        determinant_ztransform.cache_clear()
         code, _, _ = run(capsys, "verify", "--dim", "4", "--samples", "2")
-        determinant_ztransform.cache_clear()
         assert code == EXIT_OK
         assert calls == [4]
+
+    def test_verify_expands_the_pole_product_once(self, capsys, monkeypatch):
+        # the two Laplace forms compare numerators and steps; only the
+        # s-route's first evaluation expands the pole product
+        calls = []
+
+        def counted(params):
+            calls.append(params)
+            return _denominator_product(params)
+
+        monkeypatch.setattr("zeps.sdomain._denominator_product", counted)
+        code, _, _ = run(capsys, "verify", "--dim", "4", "--samples", "2")
+        assert code == EXIT_OK
+        assert calls == [TustinParams.uniform(4)]
 
     def test_failed_check_gives_distinct_exit_code(self, capsys, monkeypatch):
         # force one check to fail to pin down the exit-code contract
@@ -183,8 +195,7 @@ class TestVerify:
             result = factored_laplace(dim, params)
             if dim != 4:
                 return result
-            body = RationalFn(4 * result.body.num, result.body.den)
-            return replace(result, body=body)
+            return replace(result, numerator=4 * result.numerator)
 
         monkeypatch.setattr("zeps.verify.factored_laplace", off_by_a_power)
         code, out, err = run(capsys, "verify", "--dim", "4", "--samples", "2")

@@ -86,3 +86,17 @@ def test_stdout_matches_golden_digest(command, code, digest):
         exit_code = main(command.split())
     assert exit_code == code
     assert hashlib.sha256(stdout.getvalue().encode()).hexdigest() == digest
+
+
+S_LATEX = [row for row in GOLDEN if row[0].startswith("emit --domain s") and "latex" in row[0]]
+
+
+@pytest.mark.parametrize("command,code,digest", S_LATEX, ids=[row[0] for row in S_LATEX])
+def test_s_latex_never_expands_the_pole_product(command, code, digest, monkeypatch):
+    # LaTeX prints the pole factors, so neither the build nor the
+    # render may expand their product
+    def refuse(params):
+        raise AssertionError("pole product expanded")
+
+    monkeypatch.setattr("zeps.sdomain._denominator_product", refuse)
+    test_stdout_matches_golden_digest(command, code, digest)

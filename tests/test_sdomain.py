@@ -12,7 +12,6 @@ from zeps.errors import (
     UnsupportedDimensionError,
 )
 from zeps.sdomain import (
-    LaplaceResult,
     TustinParams,
     _denominator_product,
     factored_laplace_value,
@@ -338,19 +337,6 @@ class TestLaplaceResultSurface:
         latex = laplace_determinant(3).to_latex()
         assert latex.startswith("\\frac{1}{2}")
         assert "\\left(s_{3} + 2\\right)^{3}" in latex
-
-    def test_latex_reuses_the_built_pole_product(self):
-        result = laplace_determinant(3, TustinParams(3, (1, 2, 3)))
-        hits = _denominator_product.cache_info().hits
-        result.to_latex()
-        assert _denominator_product.cache_info().hits == hits + 1
-
-    def test_latex_expands_any_other_denominator(self):
-        built = laplace_determinant(2)
-        other = RationalFn(built.body.num, LaurentPoly.variable(2, 1) + 3)
-        latex = LaplaceResult(2, built.scale, other, built.params).to_latex()
-        assert latex.endswith("}{s_{1} + 3}")
-        assert "\\right)" not in latex
 
     def test_latex_non_uniform_steps(self):
         params = TustinParams(2, (Fraction(1), Fraction(1, 2)))
