@@ -15,10 +15,11 @@ exponents need no offset.  The digit width widens with the exponents,
 so any integer exponent packs without wrapping.  The denominator is kept
 coprime to the numerators, so equal polynomials carry identical maps.
 
-The public view is unchanged: ``terms`` reads as a map from exponent
-tuples to nonzero :class:`fractions.Fraction` coefficients, unpacked on
-first use, and the serialization order is graded-lexicographic,
-highest first.
+The polynomial's own methods read only the packed map, and unpack its
+exponent columns once, on first need.  ``terms`` serves outside readers:
+a read-only map from exponent tuples to nonzero
+:class:`fractions.Fraction` coefficients, built on first use.  The
+serialization order is graded-lexicographic, highest first.
 """
 
 from __future__ import annotations
@@ -201,19 +202,6 @@ def _pack(exponents: Sequence[int], bits: int) -> int:
     return key
 
 
-def _digit_columns(keys: Iterable[int], arity: int, bits: int) -> list[list[int]]:
-    """Per variable, its exponent in every key, in the keys' order.
-
-    Adding ``half`` to every digit makes each one an ordinary base-2**bits
-    digit in [0, 2**bits), so all of them are read off with shifts and masks.
-    """
-    half = 1 << (bits - 1)
-    mask = (1 << bits) - 1
-    bias = _pack([half] * arity, bits)
-    biased = [k + bias for k in keys]
-    return [[(t >> shift & mask) - half for t in biased] for shift in range(0, bits * arity, bits)]
-
-
 def _reduce(terms: dict[int, int], den: int) -> tuple[dict[int, int], int]:
     """Divide out the factor the numerators share with the denominator."""
     if den != 1:
@@ -230,6 +218,7 @@ def _fill(poly, arity: int, terms: dict[int, int], den: int, bits: int, reach: i
     object.__setattr__(poly, "_bits", bits)
     object.__setattr__(poly, "_reach", reach)
     object.__setattr__(poly, "_view", None)
+    object.__setattr__(poly, "_columns", None)
     return poly
 
 
@@ -273,51 +262,26 @@ def _sum_of_products(arity: int, products, den: int, reach: int) -> "LaurentPoly
 class TermView(Mapping):
     """``LaurentPoly.terms``: a read-only map from exponent tuple to ``Fraction``.
 
-    ``len`` reads the packed map.  Anything else unpacks the keys once,
-    and the view keeps what it unpacked for the polynomial's lifetime.
+    It serves readers outside the polynomial.  ``len`` reads the packed
+    map; anything else builds the ``Fraction`` dict once, and the view
+    keeps it for the polynomial's lifetime.
     """
 
-    __slots__ = ("_poly", "_exponents", "_fractions", "_spans")
+    __slots__ = ("_poly", "_fractions")
 
     def __init__(self, poly: "LaurentPoly"):
         self._poly = poly
-        self._exponents = None
         self._fractions = None
-        self._spans = None
-
-    def _unpack(self) -> None:
-        poly = self._poly
-        columns = _digit_columns(poly._terms, poly.arity, poly._bits)
-        self._exponents = list(zip(*columns))
-        self._spans = [
-            (min(column), max(column), frozenset(column)) if column else (0, 0, frozenset())
-            for column in columns
-        ]
-
-    def exponents(self) -> list[tuple[int, ...]]:
-        """The exponent tuples, in the packed map's order."""
-        if self._exponents is None:
-            self._unpack()
-        return self._exponents
-
-    def spans(self) -> list[tuple[int, int, frozenset]]:
-        """Per variable: lowest exponent, highest exponent, and every exponent seen.
-
-        A variable with no terms reads (0, 0, {}).
-        """
-        if self._spans is None:
-            self._unpack()
-        return self._spans
 
     def _dict(self) -> dict[tuple[int, ...], Fraction]:
         if self._fractions is None:
-            den = self._poly._den
-            numerators = self._poly._terms.values()
-            if den == 1:
+            poly = self._poly
+            numerators = poly._terms.values()
+            if poly._den == 1:
                 values = map(Fraction, numerators)
             else:
-                values = (Fraction(c, den) for c in numerators)
-            self._fractions = dict(zip(self.exponents(), values))
+                values = (Fraction(c, poly._den) for c in numerators)
+            self._fractions = dict(zip(poly._unpacked()[0], values))
         return self._fractions
 
     def __len__(self) -> int:
@@ -328,12 +292,6 @@ class TermView(Mapping):
 
     def __iter__(self):
         return iter(self._dict())
-
-    def items(self):
-        return self._dict().items()
-
-    def values(self):
-        return self._dict().values()
 
     def __repr__(self):
         return repr(self._dict())
@@ -351,12 +309,14 @@ class LaurentPoly:
     integers ``c``.  ``_den`` is positive and coprime to the ``c``s, so
     equal polynomials have equal ``(_den, _terms)``.  ``_reach`` bounds
     every ``|e_i|`` from above, so a product knows before it starts
-    whether its keys fit the width.  The public ``terms`` is a read-only
-    map from exponent tuples to ``Fraction``s, unpacked on first use;
-    ring operations build their results without revalidating them.
+    whether its keys fit the width.  The methods here read only this map
+    and its exponent columns, unpacked once (``_unpacked``); the public
+    ``terms`` is a read-only map from exponent tuples to ``Fraction``s
+    for outside readers, built on first use.  Ring operations build
+    their results without revalidating them.
     """
 
-    __slots__ = ("arity", "_terms", "_den", "_bits", "_reach", "_view")
+    __slots__ = ("arity", "_terms", "_den", "_bits", "_reach", "_view", "_columns")
 
     def __init__(self, arity: int, terms: Mapping[Sequence[int], object] | None = None):
         if not isinstance(arity, int) or arity < 1:
@@ -426,13 +386,38 @@ class LaurentPoly:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
+    def _unpacked(self) -> tuple[list[tuple[int, ...]], list[tuple[int, int, frozenset]]]:
+        """The exponent tuples in the packed map's order, and per variable its
+        lowest exponent, highest exponent and every exponent seen; built once.
+
+        Adding ``half`` to every digit makes each one an ordinary base-2**bits
+        digit in [0, 2**bits), so all of them are read off with shifts and
+        masks.  A variable with no terms reads (0, 0, {}).
+        """
+        if self._columns is None:
+            bits, arity = self._bits, self.arity
+            half = 1 << (bits - 1)
+            mask = (1 << bits) - 1
+            bias = _pack([half] * arity, bits)
+            biased = [k + bias for k in self._terms]
+            columns = [
+                [(t >> shift & mask) - half for t in biased]
+                for shift in range(0, bits * arity, bits)
+            ]
+            spans = [
+                (min(column), max(column), frozenset(column)) if column else (0, 0, frozenset())
+                for column in columns
+            ]
+            object.__setattr__(self, "_columns", (list(zip(*columns)), spans))
+        return self._columns
+
     def _at(self, bits: int) -> dict[int, int]:
         """The packed map with keys at digit width ``bits`` (never narrower)."""
         if bits == self._bits:
             return self._terms
         return {
             _pack(exponents, bits): c
-            for exponents, c in zip(self.terms.exponents(), self._terms.values())
+            for exponents, c in zip(self._unpacked()[0], self._terms.values())
         }
 
     # -- ring operations -------------------------------------------------
@@ -553,19 +538,21 @@ class LaurentPoly:
             raise InputDomainError(
                 f"point has {len(coords)} coordinates, expected {self.arity}"
             )
-        spans = self.terms.spans()
+        keys, spans = self._unpacked()
         for i, (low, _, _) in enumerate(spans):
             if coords[i] == 0 and low < 0:
                 raise EvaluationPoleError(
                     f"variable {i + 1} is zero but occurs with a negative exponent"
                 )
         if all(isinstance(c, EXACT_SCALARS) for c in coords):
-            return self._exact_value(coords, spans)
+            return self._exact_value(coords)
+        # c / den is correctly rounded, bit for bit float(Fraction(c, den))
+        den = self._den
         bases = [complex(c) for c in coords]
         power_cache: list[dict[int, complex]] = [{} for _ in range(self.arity)]
         total = complex(0)
-        for exponents, coeff in self.terms.items():
-            term = complex(coeff)
+        for exponents, c in zip(keys, self._terms.values()):
+            term = complex(c / den)
             for i, e in enumerate(exponents):
                 if e == 0:
                     continue
@@ -576,13 +563,14 @@ class LaurentPoly:
             total = total + term
         return total
 
-    def _exact_value(self, coords: Sequence, spans) -> Fraction:
+    def _exact_value(self, coords: Sequence) -> Fraction:
         """Exact value with denominators cleared: one ``Fraction`` at the end.
 
         With x_i = a_i/b_i and exponents of x_i in [lo_i, hi_i],
         x_i^e = a_i^(e-lo_i) b_i^(hi_i-e) * a_i^lo_i / b_i^hi_i, so the
         sum over terms runs on integers only.
         """
+        keys, spans = self._unpacked()
         numerator, denominator = 1, self._den
         weights = []
         for x, (low, high, seen) in zip(coords, spans):
@@ -597,7 +585,7 @@ class LaurentPoly:
             else:
                 denominator *= b**high
         total = 0
-        for exponents, c in zip(self.terms.exponents(), self._terms.values()):
+        for exponents, c in zip(keys, self._terms.values()):
             for weight, e in zip(weights, exponents):
                 c *= weight[e]
             total += c
@@ -613,7 +601,7 @@ class LaurentPoly:
         Every writer reads the terms through this walk.
         """
         den = self._den
-        exponents = self.terms.exponents()
+        exponents = self._unpacked()[0]
         ordered = sorted(zip(map(sum, exponents), exponents, self._terms.values()), reverse=True)
         for _, key, c in ordered:
             common = math.gcd(c, den)
@@ -625,7 +613,7 @@ class LaurentPoly:
         A term's monomial text is its exponents' entries joined in
         variable order: ``"".join(map(dict.__getitem__, tables, exponents))``.
         """
-        return [{e: power(i, e) for e in seen} for i, (_, _, seen) in enumerate(self.terms.spans())]
+        return [{e: power(i, e) for e in seen} for i, (_, _, seen) in enumerate(self._unpacked()[1])]
 
     def to_text(self, varnames: Sequence[str] | None = None) -> str:
         """Deterministic plain-text form, e.g. ``z1^-1*z2^-2 - z1^-2*z2^-1``."""

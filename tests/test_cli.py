@@ -1,14 +1,19 @@
 import json
+import math
+import shlex
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 import zeps.verify
 from zeps.algebra import LaurentPoly, RationalFn, det
 from zeps.cli import EXIT_EVALUATION, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, main
-from zeps.sdomain import TustinParams, _denominator_product, factored_laplace, laplace_determinant
+from zeps.sdomain import (
+    TustinParams, _denominator_product, _tustin_keys, factored_laplace, laplace_determinant,
+)
 from zeps.ztransform import determinant_ztransform, factored_ztransform
 
 
@@ -164,6 +169,19 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--dim", "4", "--samples", "2")
         assert code == EXIT_OK
         assert calls == [TustinParams.uniform(4)]
+
+    @pytest.mark.parametrize(
+        "argv", [("--dim", "3"), ("--dim", "4", "--samples", "2")], ids=["dim3", "dim4"]
+    )
+    def test_one_power_too_many_in_the_pole_product_fails(self, capsys, monkeypatch, argv):
+        # prod_q (2 + T_q s_q)^(dim + 1): every Laplace form reads the wrong body
+        def one_power_too_many(params):
+            return math.prod(v ** (params.dim + 1) for _, v in _tustin_keys(params))
+
+        monkeypatch.setattr("zeps.sdomain._denominator_product", one_power_too_many)
+        code, out, _ = run(capsys, "verify", *argv)
+        assert code == EXIT_VERIFY_FAILED
+        assert out.splitlines()[2].startswith("FAIL: factored Laplace form")
 
     def test_failed_check_gives_distinct_exit_code(self, capsys, monkeypatch):
         # force one check to fail to pin down the exit-code contract
@@ -460,3 +478,32 @@ class TestDimensionWindow:
         code, out, err = run(capsys, *argv)
         assert code == EXIT_USAGE and out == ""
         assert f"dimension must be an integer in {window}" in err
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_cli_block_runs_as_stated(capsys):
+    section = README.read_text().split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [
+        line.partition("#")[0].strip() for line in block.splitlines() if line.startswith("zeps ")
+    ]
+    assert len(commands) == 8
+    outputs = {}
+    for command in commands:
+        code, out, err = run(capsys, *shlex.split(command)[1:])
+        assert code == EXIT_OK, (command, err)
+        outputs[command] = out
+    # each output the block states, by the command it follows
+    stated = {
+        "zeps emit --domain z --dim 2 --format text": "z1^-1*z2^-2 - z1^-2*z2^-1",
+        "zeps eval --domain z --dim 2 --point 2,1": "1/4",
+        "zeps eval --domain z --dim 2 --point 2+0j,1+0j": "(0.25+0j)",
+    }
+    for command, expected in stated.items():
+        assert expected in block.split(command, 1)[1].split("\nzeps ", 1)[0]
+        assert outputs[command].strip() == expected
+    assert 'scale {"num": 1, "den": 2}' in block
+    z3 = json.loads(outputs["zeps emit --domain z --dim 3 --format json"])
+    assert z3["scale"] == {"num": 1, "den": 2}

@@ -166,8 +166,19 @@ S4 = factored_laplace(4, TustinParams(4, STEPS[:4]))
         S4.body.den,
         # the second variable occurs in no term
         LaurentPoly(3, {(2, 0, -1): Fraction(3, 7), (-3, 0, 0): -2, (0, 0, 4): 5}),
+        # numerators and their shared denominator past the float range, values near 1/3
+        LaurentPoly(2, {
+            (1, -2): Fraction(10**400 + 1, 3 * 10**400),
+            (0, 3): Fraction(-(10**400) + 7, 3 * 10**400),
+            (-1, 0): Fraction(10**400, 3 * 10**400 + 1),
+        }),
+        # a coefficient past the float range raises as its float conversion does
+        LaurentPoly(2, {(1, 1): Fraction(10**400, 3), (0, -1): 1}),
     ],
-    ids=["z3", "z4", "s3-num", "s3-den", "s4-num", "s4-den", "unused-variable"],
+    ids=[
+        "z3", "z4", "s3-num", "s3-den", "s4-num", "s4-den", "unused-variable",
+        "huge-denominator", "huge-coefficient",
+    ],
 )
 def test_laurent_poly_evaluate(poly, sampler):
     rng = random.Random(poly.arity)

@@ -193,6 +193,21 @@ def test_terms_view_is_read_only():
     assert poly.terms == {(1, -1): Fraction(1, 2)}
 
 
+def test_terms_len_builds_no_fraction(monkeypatch):
+    # the tracer counts terms on every product through len(poly.terms)
+    a = LaurentPoly(2, {(1, -1): Fraction(1, 2), (0, 3): -3})
+    b = LaurentPoly(2, {(2, 0): Fraction(5, 3), (-1, -1): 7, (0, 0): 1})
+
+    def no_fraction(*args):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr("zeps.algebra.Fraction", no_fraction)
+    product = a * b
+    assert len(product.terms) == 6
+    with pytest.raises(AssertionError, match="a Fraction was built"):
+        product.terms[(3, -1)]
+
+
 def test_pole_at_zero_with_negative_exponent():
     with pytest.raises(EvaluationPoleError):
         LaurentPoly(2, {(0, -(10**6)): 1}).evaluate((1, 0))
