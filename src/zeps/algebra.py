@@ -144,35 +144,30 @@ def json_number(value: Fraction) -> dict:
 
 
 # A JSON document is declared once, as its (key, value) fields in order.
-# A value is a LaurentPoly or RationalFn, or plain JSON data.
+# A value is a LaurentPoly or plain JSON data.
 
 
 def _json_tree(fields: Iterable[tuple[str, object]]) -> dict:
     """The document as a dict, each polynomial as its ``to_json_dict``."""
     return {
-        key: value.to_json_dict() if isinstance(value, (LaurentPoly, RationalFn)) else value
+        key: value.to_json_dict() if isinstance(value, LaurentPoly) else value
         for key, value in fields
     }
 
 
-def _json_text(fields: Iterable[tuple[str, object]], level: int = 0) -> str:
-    """``json.dumps(_json_tree(fields), indent=2)`` nested ``level`` deep.
+def _json_text(fields: Iterable[tuple[str, object]]) -> str:
+    """``json.dumps(_json_tree(fields), indent=2)``, byte for byte.
 
-    Each polynomial writes itself with ``to_json``; plain values go
-    through ``json.dumps`` with their lines indented to the nesting.
+    Each polynomial writes itself with ``to_json`` one object deep; plain
+    values go through ``json.dumps`` with their lines indented to match.
     """
-    pad = "\n" + "  " * level
-    inner = pad + "  "
     parts = [
-        f'{inner}"{key}": '
-        + (
-            value.to_json(level + 1)
-            if isinstance(value, (LaurentPoly, RationalFn))
-            else json.dumps(value, indent=2).replace("\n", inner)
-        )
+        f'\n  "{key}": {value.to_json(1)}'
+        if isinstance(value, LaurentPoly)
+        else f'\n  "{key}": ' + json.dumps(value, indent=2).replace("\n", "\n  ")
         for key, value in fields
     ]
-    return "{" + ",".join(parts) + pad + "}"
+    return "{" + ",".join(parts) + "\n}"
 
 
 def _default_names(arity: int) -> tuple[str, ...]:
@@ -762,9 +757,6 @@ class RationalFn:
 
     def to_json_dict(self) -> dict:
         return _json_tree(self._json_fields())
-
-    def to_json(self, level: int = 0) -> str:
-        return _json_text(self._json_fields(), level)
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "RationalFn":

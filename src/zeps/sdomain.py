@@ -6,7 +6,9 @@ R(p, q) = sum_{r=1}^{N} ((2 - T_q*s_q)/(2 + T_q*s_q))^r * r^p,
 and the transform determinant into a determinant over these entries.
 Over the common denominator (2 + T_q*s_q)^N, R(p, q) is the Z-domain
 moment sum with the key (2 - T_q*s_q, 2 + T_q*s_q) in place of
-(z_q^{-1}, 1), so ``ztransform.moment_matrix`` builds both.
+(z_q^{-1}, 1), so ``ztransform.moment_matrix`` builds both, and
+``ztransform.factored_moment_det`` expands both determinants from their
+Vandermonde factors.
 Every denominator is a power of (2 + T_q*s_q), so the poles sit on the
 hyperplanes s_q = -2/T_q; the unit-circle/imaginary-axis geometry of
 the bilinear map carries intra-dimensional stability across unchanged.
@@ -30,7 +32,6 @@ from .algebra import (
     RationalFn,
     ScaledForm,
     det,
-    difference_product,
     json_number,
     latex_number,
     rational_text,
@@ -38,7 +39,9 @@ from .algebra import (
     vandermonde,
 )
 from .errors import EvaluationPoleError, InputDomainError, MapSingularityError
-from .ztransform import compact_sum_3d, moment_matrix, require_dim, require_moment, scale_constant
+from .ztransform import (
+    compact_sum_3d, factored_moment_det, moment_matrix, require_dim, require_moment, scale_constant,
+)
 
 MAX_LAPLACE_DIM = 5
 
@@ -57,7 +60,7 @@ def _as_step(value) -> Fraction:
     if step is None:
         raise InputDomainError(f"cannot read step constant from {value!r}")
     if step <= 0:
-        raise InputDomainError(f"step constants must be positive, got {step}")
+        raise InputDomainError(f"step constants must be positive, got {rational_text(step)}")
     return step
 
 
@@ -101,7 +104,9 @@ def tustin_map(s, T):
         half = complex(s) * float(step) / 2
     denominator = 1 - half
     if denominator == 0:
-        raise MapSingularityError(f"bilinear map is singular at s = 2/T = {2 / step}")
+        raise MapSingularityError(
+            f"bilinear map is singular at s = 2/T = {rational_text(2 / step)}"
+        )
     return (1 + half) / denominator
 
 
@@ -218,21 +223,17 @@ def laplace_determinant(dim: int, params: TustinParams | None = None) -> Laplace
 
 
 def factored_laplace(dim: int, params: TustinParams | None = None) -> LaplaceResult:
-    """The Laplace determinant's closed form, expanded from its factors.
+    """The Laplace determinant's closed form: ``factored_moment_det`` over its keys.
 
-    With u_q = 2 - T_q s_q, each entry numerator of ``laplace_determinant``
-    factors like the Z-domain moment sum, and u_j (2 + T_i s_i) -
-    u_i (2 + T_j s_j) = 4 (u_j - u_i), so the numerator determinant is
-    ``scale_constant(dim) * 4**(dim(dim-1)/2)`` times the difference
-    product over (0, u_1, ..., u_dim).  The result equals
+    The numerator determinant of ``laplace_determinant`` is taken over
+    ``moment_matrix`` for Tustin's keys (2 - T_q s_q, 2 + T_q s_q), so its
+    Vandermonde factors come from the same keys.  The result equals
     ``laplace_determinant(dim, params)`` term for term: same scale, same
     numerator, same pole product.
     """
     params = _laplace_params(dim, params)
-    keys = [u for u, _ in _tustin_keys(params)]
-    scale = scale_constant(dim)
-    numerator = scale * 4 ** (dim * (dim - 1) // 2) * difference_product([0, *keys])
-    return LaplaceResult(dim, Fraction(1, scale), numerator, params)
+    numerator = factored_moment_det(dim, _tustin_keys(params))
+    return LaplaceResult(dim, Fraction(1, scale_constant(dim)), numerator, params)
 
 
 def _bilinear_images(coords: Sequence, params: TustinParams) -> list:

@@ -18,6 +18,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .algebra import rational_text
 from .epsilon import enumerate_indices, epsilon_product, sign_oracle
 from .sdomain import (
     TustinParams,
@@ -181,8 +182,9 @@ def check_tustin_consistency(
         eval_s = factored_laplace_value(s_point, params)
         if not via_z == via_s == eval_z == eval_s:
             failures.append(
-                f"at s={s_point}: z-route {via_z} vs s-route {via_s}; "
-                f"eval's z-route {eval_z}, s-route {eval_s}"
+                f"at s={s_point}: z-route {rational_text(via_z)} "
+                f"vs s-route {rational_text(via_s)}; eval's z-route "
+                f"{rational_text(eval_z)}, s-route {rational_text(eval_s)}"
             )
     return CheckResult(
         name=(

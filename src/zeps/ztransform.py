@@ -11,18 +11,18 @@ for output; the brute-force summation, the determinant and a
 gamma-indexed double-sum variant special to three dimensions are the
 paper's routes, kept as independent oracles for it.  Every moment sum,
 here and in the Laplace domain, comes from one builder,
-``moment_matrix``.
+``moment_matrix``, and every factored form from its determinant's
+closed form, ``factored_moment_det``, over the same keys.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar, Sequence
 
-from .algebra import (
-    LaurentPoly, ScaledForm, det, difference_product, json_number, latex_number, vandermonde,
-)
+from .algebra import LaurentPoly, ScaledForm, det, json_number, latex_number, vandermonde
 from .epsilon import _identity_product, enumerate_indices, gamma_int, sign_oracle
 from .errors import EvaluationPoleError, InputDomainError, UnsupportedDimensionError
 
@@ -107,6 +107,21 @@ def moment_matrix(dim: int, keys: Sequence[tuple]) -> list[list]:
     return [list(row) for row in zip(*columns)]
 
 
+def factored_moment_det(dim: int, keys: Sequence[tuple]):
+    """det(moment_matrix(dim, keys)) from its Vandermonde factors, in O(dim^2) products.
+
+    The moment matrix factors as [r^p] times [a_q^r b_q^(dim-r)], with
+    r = 1..dim.  The first factor's determinant is ``scale_constant(dim)``;
+    taking a_q out of column q leaves a homogeneous Vandermonde matrix, so
+    the determinant is
+    scale_constant(dim) * prod_q a_q * prod_{i<j} (a_j b_i - a_i b_j).
+    Only ``*`` and ``-`` are applied, so keys keep their type: ``int``
+    keys give an ``int``.
+    """
+    cross = [a * b_i - a_i * b for j, (a, b) in enumerate(keys) for a_i, b_i in keys[:j]]
+    return scale_constant(dim) * math.prod([a for a, _ in keys] + cross)
+
+
 def _z_keys(dim: int) -> list[tuple]:
     """The moment keys (z_q^{-1}, 1) for q = 1..dim."""
     return [(LaurentPoly.variable(dim, q, -1), 1) for q in range(1, dim + 1)]
@@ -167,19 +182,17 @@ def determinant_ztransform(dim: int) -> TransformResult:
 
 
 def factored_ztransform(dim: int) -> TransformResult:
-    """The determinant's closed form, expanded from its Vandermonde factors.
+    """The determinant's closed form: ``factored_moment_det`` over its keys.
 
-    The moment-sum matrix factors as [r^p] times [x_q^r] with x_q = 1/z_q,
-    so its determinant is ``scale_constant(dim)`` times the difference
-    product over (0, x_1, ..., x_dim).  The result equals
-    ``determinant_ztransform(dim)`` term for term, scale included, in
-    O(dim^2) polynomial products instead of a cofactor expansion.
+    With the keys (x_q, 1), x_q = 1/z_q, the determinant is
+    ``scale_constant(dim)`` times prod_q x_q prod_{i<j} (x_j - x_i).  The
+    result equals ``determinant_ztransform(dim)`` term for term, scale
+    included, in O(dim^2) polynomial products instead of a cofactor
+    expansion.
     """
     require_dim(dim, MAX_DIM)
-    inverses = [a for a, _ in _z_keys(dim)]
-    scale = scale_constant(dim)
-    body = scale * difference_product([0, *inverses])
-    return TransformResult(dim, Fraction(1, scale), body)
+    body = factored_moment_det(dim, _z_keys(dim))
+    return TransformResult(dim, Fraction(1, scale_constant(dim)), body)
 
 
 def factored_value(point: Sequence) -> "Fraction | complex":

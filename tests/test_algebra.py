@@ -484,10 +484,6 @@ class TestWriters:
     def test_json_matches_json_dumps(self, poly):
         assert_same(poly.to_json(), dumped(poly))
 
-    @given(wide_polys(1), wide_polys(1).filter(bool))
-    def test_rational_fn_json_matches_json_dumps(self, num, den):
-        assert_same(RationalFn(num, den).to_json(), dumped(RationalFn(num, den)))
-
     @given(result_documents())
     def test_result_json_matches_json_dumps(self, result):
         assert_same(result.to_json(), dumped(result))

@@ -14,7 +14,7 @@ from zeps.cli import EXIT_EVALUATION, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, m
 from zeps.sdomain import (
     TustinParams, _denominator_product, _tustin_keys, factored_laplace, laplace_determinant,
 )
-from zeps.ztransform import determinant_ztransform, factored_ztransform
+from zeps.ztransform import determinant_ztransform, factored_ztransform, scale_constant
 
 
 def run(capsys, *argv):
@@ -182,6 +182,37 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", *argv)
         assert code == EXIT_VERIFY_FAILED
         assert out.splitlines()[2].startswith("FAIL: factored Laplace form")
+
+    def test_failing_tustin_check_at_huge_steps_prints_its_fail_line(self, capsys, monkeypatch):
+        # at T = 1e500 the failing points' exact values run past Python's
+        # int-to-str digit cap; the detail lines must still be written
+        def one_power_too_many(params):
+            return math.prod(v ** (params.dim + 1) for _, v in _tustin_keys(params))
+
+        monkeypatch.setattr("zeps.sdomain._denominator_product", one_power_too_many)
+        code, out, err = run(capsys, "verify", "--dim", "4", "--T", "1e500", "--samples", "1")
+        assert code == EXIT_VERIFY_FAILED
+        assert out.splitlines()[2].startswith("FAIL:")
+        assert "    at s=" in err
+
+    @pytest.mark.parametrize(
+        "argv", [("--dim", "3"), ("--dim", "4", "--samples", "2")], ids=["dim3", "dim4"]
+    )
+    def test_one_kernel_feeds_both_factored_forms(self, capsys, monkeypatch, argv):
+        # both builders look up factored_moment_det; without prod_q a_q
+        # neither factored form matches its determinant
+        def without_key_product(dim, keys):
+            return scale_constant(dim) * math.prod(
+                a * b_i - a_i * b for j, (a, b) in enumerate(keys) for a_i, b_i in keys[:j]
+            )
+
+        for module in ("ztransform", "sdomain"):
+            monkeypatch.setattr(f"zeps.{module}.factored_moment_det", without_key_product)
+        code, out, _ = run(capsys, "verify", *argv)
+        assert code == EXIT_VERIFY_FAILED
+        lines = out.splitlines()
+        assert lines[1].startswith("FAIL: factored closed form")
+        assert lines[2].startswith("FAIL: factored Laplace form")
 
     def test_failed_check_gives_distinct_exit_code(self, capsys, monkeypatch):
         # force one check to fail to pin down the exit-code contract

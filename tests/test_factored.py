@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from zeps.algebra import det, difference_product, vandermonde
+from zeps.algebra import LaurentPoly, det, difference_product, vandermonde
 from zeps.cli import main
 from zeps.errors import EvaluationPoleError, InputDomainError, UnsupportedDimensionError
 from zeps.sdomain import (
@@ -25,7 +25,8 @@ from zeps.sdomain import (
     laplace_determinant, r_sum,
 )
 from zeps.ztransform import (
-    brute_force_ztransform, determinant_ztransform, factored_value, factored_ztransform,
+    brute_force_ztransform, determinant_ztransform, factored_moment_det, factored_value,
+    factored_ztransform, moment_matrix,
 )
 
 from test_golden import GOLDEN
@@ -297,6 +298,32 @@ def test_eval_builds_no_expanded_form(monkeypatch):
     assert eval_stdout(
         ["eval", "--domain", "s", "--dim", "5", "--T", "1/2", "--point=1/3,1,2,-1,5/2"]
     )
+
+
+def key_part(rng: random.Random, kind: type):
+    """One half of a moment key: an int, a Fraction or a LaurentPoly in two variables."""
+    if kind is int:
+        return rng.randint(-6, 6)
+    if kind is Fraction:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+    return LaurentPoly(2, {
+        (rng.randint(-2, 1), rng.randint(-2, 1)): key_part(rng, Fraction)
+        for _ in range(rng.randint(1, 3))
+    })
+
+
+class TestFactoredMomentDet:
+    @pytest.mark.parametrize("kind", [LaurentPoly, Fraction, int], ids=lambda kind: kind.__name__)
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_equals_the_moment_determinant(self, dim, kind):
+        # det(moment_matrix(dim, keys)) for keys (a_q, b_q) of each ring type,
+        # negative exponents and rational coefficients included
+        rng = random.Random(f"{kind.__name__}-{dim}")
+        for _ in range(4):
+            keys = [(key_part(rng, kind), key_part(rng, kind)) for _ in range(dim)]
+            factored = factored_moment_det(dim, keys)
+            assert factored == det(moment_matrix(dim, keys))
+            assert type(factored) is kind
 
 
 def loop_vandermonde(xs) -> complex:

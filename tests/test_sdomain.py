@@ -42,6 +42,11 @@ class TestTustinParams:
         with pytest.raises(InputDomainError):
             TustinParams(2, (Fraction(-1, 2), 1))
 
+    def test_non_positive_step_past_the_digit_cap_is_named(self):
+        # the message writes the step in full, past Python's int-to-str cap
+        with pytest.raises(InputDomainError, match=f"positive, got -1{'0' * 5000}$"):
+            TustinParams(1, (-(10**5000),))
+
     def test_step_count_must_match(self):
         with pytest.raises(InputDomainError):
             TustinParams(3, (1, 1))
@@ -82,6 +87,12 @@ class TestTustinMap:
     def test_step_must_be_positive(self):
         with pytest.raises(InputDomainError):
             tustin_map(1, 0)
+
+    def test_singularity_past_the_digit_cap_is_named(self):
+        # 2/T has 4,301 digits, past Python's int-to-str cap of 4,300
+        step = Fraction(1, 10**4300 - 1)
+        with pytest.raises(MapSingularityError, match=f"s = 2/T = 1{'9' * 4299}8$"):
+            tustin_map(2 / step, step)
 
 
 class TestRSum:
