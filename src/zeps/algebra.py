@@ -96,11 +96,21 @@ def read_int(text: str) -> int:
     return read_int(text[:-low]) * 10**low + read_int(text[-low:])
 
 
-def rational_text(value: Fraction) -> str:
-    """``str(value)`` for a rational of any length: ``3`` or ``1/2``."""
+def rational_text(value: Fraction, fraction: str = "{}/{}") -> str:
+    """``str(value)`` for a rational of any length: ``3`` or ``1/2``.
+
+    ``fraction`` lays out a value that is not an integer from the texts
+    of its numerator and denominator.
+    """
     if value.denominator == 1:
         return int_text(value.numerator)
-    return f"{int_text(value.numerator)}/{int_text(value.denominator)}"
+    return fraction.format(int_text(value.numerator), int_text(value.denominator))
+
+
+def quoted(value) -> str:
+    """``repr(value)`` for a message, cut to its first 40 characters."""
+    text = repr(value)
+    return text if len(text) <= 40 else text[:40] + "..."
 
 
 _EXPONENT = re.compile(r"\s*[-+]?[\d_.]*[eE][-+]?([\d_]+)\s*")
@@ -109,20 +119,23 @@ _EXPONENT = re.compile(r"\s*[-+]?[\d_.]*[eE][-+]?([\d_]+)\s*")
 def read_rational(text: str) -> "Fraction | None":
     """``Fraction(text)`` under Python's int-to-str digit cap; None if no rational.
 
-    ``int`` applies the cap only to the digits written out, so exponent
-    notation would slip past it.  A value whose numerator or denominator
-    has more digits than the cap raises :class:`InputDomainError`, and
-    so does an exponent with more digits than the cap itself, before
-    ``Fraction`` expands it (``1e10000000`` alone takes seconds).
+    A value whose numerator or denominator has more digits than the cap
+    raises :class:`InputDomainError`, whether they are written out or
+    reached through exponent notation, which ``int``'s own cap would let
+    pass.  So does an exponent with more digits than the cap itself,
+    before ``Fraction`` expands it (``1e10000000`` alone takes seconds).
     """
     cap = sys.get_int_max_str_digits()
-    too_long = InputDomainError(f"{text!r} exceeds Python's int-to-str cap of {cap} digits")
+    too_long = InputDomainError(f"{quoted(text)} exceeds Python's int-to-str cap of {cap} digits")
     match = _EXPONENT.fullmatch(text)
     if cap and match and len(match.group(1).replace("_", "").lstrip("0")) > len(str(cap)):
         raise too_long
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
+        # int refuses a run of written-out digits past the cap
+        if cap and re.search(rf"\d{{{cap + 1}}}", text.replace("_", "")):
+            raise too_long from None
         return None
     longest = max(abs(value.numerator), value.denominator)
     # 2**(3 cap) < 10**cap, so the power is built only for long values
@@ -133,9 +146,7 @@ def read_rational(text: str) -> "Fraction | None":
 
 def latex_number(value: Fraction) -> str:
     """An exact rational in LaTeX: ``3`` or ``\\frac{1}{2}``."""
-    if value.denominator == 1:
-        return int_text(value.numerator)
-    return f"\\frac{{{int_text(value.numerator)}}}{{{int_text(value.denominator)}}}"
+    return rational_text(value, "\\frac{{{}}}{{{}}}")
 
 
 def json_number(value: Fraction) -> dict:
@@ -143,31 +154,39 @@ def json_number(value: Fraction) -> dict:
     return {"num": value.numerator, "den": value.denominator}
 
 
-# A JSON document is declared once, as its (key, value) fields in order.
-# A value is a LaurentPoly or plain JSON data.
+# A JSON document is a dict of strings, integers, lists and dicts with
+# plain-name keys (no floats, bools or nulls), whose values may also be
+# polynomials.  ``json_text`` writes it, and ``_json_tree`` gives the
+# dict that ``json.dumps`` would write the same.
 
 
-def _json_tree(fields: Iterable[tuple[str, object]]) -> dict:
+def _json_tree(fields: Mapping) -> dict:
     """The document as a dict, each polynomial as its ``to_json_dict``."""
     return {
         key: value.to_json_dict() if isinstance(value, LaurentPoly) else value
-        for key, value in fields
+        for key, value in fields.items()
     }
 
 
-def _json_text(fields: Iterable[tuple[str, object]]) -> str:
-    """``json.dumps(_json_tree(fields), indent=2)``, byte for byte.
+def json_text(value, level: int = 0) -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, at any integer length.
 
-    Each polynomial writes itself with ``to_json`` one object deep; plain
-    values go through ``json.dumps`` with their lines indented to match.
+    Each polynomial writes itself with ``to_json``, the bytes of
+    ``json.dumps`` on its ``to_json_dict``.  Every integer goes through
+    ``int_text`` and only strings reach ``json.dumps``.  ``level``
+    indents every line after the first as the value of a key ``level``
+    objects deep.
     """
-    parts = [
-        f'\n  "{key}": {value.to_json(1)}'
-        if isinstance(value, LaurentPoly)
-        else f'\n  "{key}": ' + json.dumps(value, indent=2).replace("\n", "\n  ")
-        for key, value in fields
-    ]
-    return "{" + ",".join(parts) + "\n}"
+    if isinstance(value, (int, str)):
+        return int_text(value) if isinstance(value, int) else json.dumps(value)
+    if isinstance(value, LaurentPoly):
+        return value.to_json(level)
+    pad = "\n" + "  " * (level + 1)
+    if isinstance(value, dict):
+        items, ends = [f'"{key}": {json_text(v, level + 1)}' for key, v in value.items()], "{}"
+    else:
+        items, ends = [json_text(v, level + 1) for v in value], "[]"
+    return f"{ends[0]}{pad}{(',' + pad).join(items)}{pad[:-2]}{ends[1]}" if items else ends
 
 
 def _default_names(arity: int) -> tuple[str, ...]:
@@ -752,8 +771,8 @@ class RationalFn:
             f"{{{self.den.to_latex(varnames)}}}"
         )
 
-    def _json_fields(self) -> tuple[tuple[str, object], ...]:
-        return (("arity", self.arity), ("numerator", self.num), ("denominator", self.den))
+    def _json_fields(self) -> dict:
+        return {"arity": self.arity, "numerator": self.num, "denominator": self.den}
 
     def to_json_dict(self) -> dict:
         return _json_tree(self._json_fields())
@@ -881,10 +900,10 @@ class ScaledForm:
         body = self.body.to_text(self.varnames())
         if self.scale == 1:
             return body
-        return f"{self.scale} * ({body})"
+        return f"{rational_text(self.scale)} * ({body})"
 
-    def _json_fields(self) -> tuple[tuple[str, object], ...]:
-        """The JSON document's (key, value) fields, in order; each domain declares its own."""
+    def _json_fields(self) -> dict:
+        """The JSON document, polynomials among its values; each domain declares its own."""
         raise NotImplementedError
 
     def to_json_dict(self) -> dict:
@@ -892,4 +911,4 @@ class ScaledForm:
 
     def to_json(self) -> str:
         """``json.dumps(self.to_json_dict(), indent=2)``, written straight from the packed maps."""
-        return _json_text(self._json_fields())
+        return json_text(self._json_fields())

@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import json
 import os
 import sys
 from fractions import Fraction
 
-from .algebra import rational_text, read_rational
+from .algebra import json_text, quoted, rational_text, read_rational
 from .errors import InputDomainError, ZepsError
 from .sdomain import (
     MAX_LAPLACE_DIM,
@@ -71,7 +70,7 @@ def _parse_coordinate(text: str) -> "Fraction | complex":
             return value
     except ValueError:
         pass
-    raise InputDomainError(f"point coordinates must be finite numbers, got {text!r}")
+    raise InputDomainError(f"point coordinates must be finite numbers, got {quoted(text)}")
 
 
 def _parse_point(text: str, dim: int) -> tuple:
@@ -141,18 +140,10 @@ def cmd_report(args) -> tuple[int, str]:
             "pole/zero report is implemented for dim 2 only; for dim >= 3 use "
             "`verify` (sampling-based consistency checks) instead"
         )
-    params = _parse_steps(args.T, 2)
-    report = pole_zero_report_2d(params)
+    report = pole_zero_report_2d(_parse_steps(args.T, 2))
     if args.format == "text":
         return EXIT_OK, report.to_text()
-    # -2/T may have one digit more than the cap --T was read under, and
-    # json.dumps writes integers through int.__repr__, which the cap limits.
-    cap = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return EXIT_OK, json.dumps(report.to_json_dict(), indent=2)
-    finally:
-        sys.set_int_max_str_digits(cap)
+    return EXIT_OK, json_text(report.to_json_dict())
 
 
 def build_parser() -> argparse.ArgumentParser:

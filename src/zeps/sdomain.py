@@ -34,6 +34,7 @@ from .algebra import (
     det,
     json_number,
     latex_number,
+    quoted,
     rational_text,
     read_rational,
     vandermonde,
@@ -58,7 +59,7 @@ def _as_step(value) -> Fraction:
             f"step constants must be rational numbers, got {type(value).__name__}"
         )
     if step is None:
-        raise InputDomainError(f"cannot read step constant from {value!r}")
+        raise InputDomainError(f"cannot read step constant from {quoted(value)}")
     if step <= 0:
         raise InputDomainError(f"step constants must be positive, got {rational_text(step)}")
     return step
@@ -182,14 +183,14 @@ class LaplaceResult(ScaledForm):
             return fraction
         return f"{latex_number(self.scale)} \\, {fraction}"
 
-    def _json_fields(self) -> tuple[tuple[str, object], ...]:
-        return (
-            ("dim", self.dim),
-            ("T", [json_number(t) for t in self.params.steps]),
-            ("scale", json_number(self.scale)),
-            ("numerator", self.numerator),
-            ("denominator", self.body.den),
-        )
+    def _json_fields(self) -> dict:
+        return {
+            "dim": self.dim,
+            "T": [json_number(t) for t in self.params.steps],
+            "scale": json_number(self.scale),
+            "numerator": self.numerator,
+            "denominator": self.body.den,
+        }
 
 
 def _laplace_params(dim: int, params: TustinParams | None) -> TustinParams:

@@ -78,13 +78,13 @@ class TransformResult(ScaledForm):
             return body
         return f"{latex_number(self.scale)} \\left( {body} \\right)"
 
-    def _json_fields(self) -> tuple[tuple[str, object], ...]:
-        return (
-            ("dim", self.dim),
-            ("scale", json_number(self.scale)),
-            ("body", self.body),
-            ("roc", list(self.roc)),
-        )
+    def _json_fields(self) -> dict:
+        return {
+            "dim": self.dim,
+            "scale": json_number(self.scale),
+            "body": self.body,
+            "roc": list(self.roc),
+        }
 
 
 def moment_matrix(dim: int, keys: Sequence[tuple]) -> list[list]:

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -423,7 +424,13 @@ def reference_latex(poly, varnames=None):
 
 
 def dumped(document):
-    return json.dumps(document.to_json_dict(), indent=2)
+    """``json.dumps(document.to_json_dict(), indent=2)``, with Python's digit cap lifted."""
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return json.dumps(document.to_json_dict(), indent=2)
+    finally:
+        sys.set_int_max_str_digits(cap)
 
 
 def assert_same(written, expected):
@@ -473,6 +480,22 @@ def result_documents(draw):
     return LaplaceResult(dim, scale, draw(wide_polys(dim)), params)
 
 
+# Exact numbers of 5,001 digits where a document holds plain integers:
+# the z result's scale, and the Laplace result's steps
+PAST_CAP_STEP = Fraction(1, 10**5000)
+PAST_CAP_RESULTS = (
+    TransformResult(2, PAST_CAP_STEP, factored_ztransform(2).body),
+    factored_laplace(2, TustinParams(2, (PAST_CAP_STEP,) * 2)),
+)
+
+
+def check_result_writers(result):
+    """``to_json`` is ``json.dumps`` of the tree; ``to_text`` leads with the scale."""
+    assert_same(result.to_json(), dumped(result))
+    text = result.to_text()
+    assert result.scale == 1 or text.startswith(f"{reference_rational_text(result.scale)} * (")
+
+
 class TestWriters:
     @given(wide_polys(), st.booleans())
     def test_text_and_latex_match_the_reference(self, poly, named):
@@ -486,7 +509,13 @@ class TestWriters:
 
     @given(result_documents())
     def test_result_json_matches_json_dumps(self, result):
-        assert_same(result.to_json(), dumped(result))
+        check_result_writers(result)
+
+    # Hypothesis cannot take these as explicit examples: it reports an
+    # example through repr, and Fraction's repr refuses past the cap.
+    @pytest.mark.parametrize("result", PAST_CAP_RESULTS, ids=("z-scale", "s-steps"))
+    def test_result_numbers_past_the_cap(self, result):
+        check_result_writers(result)
 
     @pytest.mark.parametrize("arity", range(1, 7))
     def test_zero_polynomial(self, arity):

@@ -464,12 +464,16 @@ class TestDigitCap:
             ("emit", "--domain", "s", "--dim", "2", "--T", "1e5000", "--format", "json"),
             ("report", "--dim", "2", "--T", "1e5000"),
             ("report", "--dim", "2", "--T", "9999e4299"),
+            # digits written out past the cap, quoted by a short prefix only
+            ("emit", "--domain", "s", "--dim", "2", "--T", "1/" + "9" * 4400),
+            ("eval", "--domain", "z", "--dim", "2", "--point", "9" * 4400 + ",1"),
         ],
     )
     def test_exponent_past_the_cap_is_usage_error(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == EXIT_USAGE and out == ""
         assert f"int-to-str cap of {sys.get_int_max_str_digits()}" in err
+        assert len(err) < 200
 
     def test_exponent_under_the_cap_is_read(self, capsys):
         code, out, _ = run(capsys, "report", "--dim", "2", "--T", "1e308", "--format", "json")
@@ -493,6 +497,17 @@ class TestDigitCap:
             sys.set_int_max_str_digits(cap)
         assert data["poles"][0]["location"] == {"num": -2 * nines, "den": 1}
         assert data["T"] == {"num": 1, "den": nines}
+
+    def test_report_leaves_the_cap_as_it_is(self, capsys, monkeypatch):
+        # the 4,301-digit pole is written without lifting the cap for the process
+        def refuse(limit):
+            raise AssertionError(f"int-to-str cap set to {limit}")
+
+        monkeypatch.setattr(sys, "set_int_max_str_digits", refuse)
+        step = "1/" + "9" * 4300
+        code, out, _ = run(capsys, "report", "--dim", "2", "--T", step, "--format", "json")
+        assert code == EXIT_OK
+        assert out.count('"num": -1' + "9" * 4299 + "8,") == 2
 
 
 class TestDimensionWindow:

@@ -19,11 +19,11 @@ from zeps.cli import main
 
 NUMBERS = (
     "1", "2", "1/2", "-1", "0", "3+1j", "nan", "inf", "-inf", "1/0", "1e308", "", "1e-308",
-    "1e200+0j", "abc", "1e5000", "1e1000000",
+    "1e200+0j", "abc", "1e5000", "1e1000000", "9" * 4400, "1/" + "9" * 4400,
 )
 STEPS = (
     "1", "1/2", "2,1/3", "nan", "inf", "1/0", "1e308", "", "-1", "0", "abc", "1,2,3", "1e5000",
-    "1e1000000",
+    "1e1000000", "9" * 4400, "1/" + "9" * 4400,
 )
 
 
