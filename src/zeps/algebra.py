@@ -28,7 +28,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from typing import ClassVar
@@ -96,6 +96,10 @@ def read_int(text: str) -> int:
     return read_int(text[:-low]) * 10**low + read_int(text[-low:])
 
 
+# How LaTeX writes a fraction from the texts of its numerator and denominator.
+LATEX_FRACTION = "\\frac{{{}}}{{{}}}"
+
+
 def rational_text(value: Fraction, fraction: str = "{}/{}") -> str:
     """``str(value)`` for a rational of any length: ``3`` or ``1/2``.
 
@@ -111,6 +115,21 @@ def quoted(value) -> str:
     """``repr(value)`` for a message, cut to its first 40 characters."""
     text = repr(value)
     return text if len(text) <= 40 else text[:40] + "..."
+
+
+def exact_repr(self) -> str:
+    """The ``repr`` a dataclass generates, with each rational's digits written by
+    ``int_text``: the same text for short values, and no digit cap on long ones."""
+
+    def shown(value) -> str:
+        if isinstance(value, tuple):
+            return f"({', '.join(map(shown, value))}{',' * (len(value) == 1)})"
+        if isinstance(value, Fraction):
+            return f"Fraction({int_text(value.numerator)}, {int_text(value.denominator)})"
+        return repr(value)
+
+    items = (f"{field.name}={shown(getattr(self, field.name))}" for field in fields(self))
+    return f"{type(self).__qualname__}({', '.join(items)})"
 
 
 _EXPONENT = re.compile(r"\s*[-+]?[\d_.]*[eE][-+]?([\d_]+)\s*")
@@ -142,11 +161,6 @@ def read_rational(text: str) -> "Fraction | None":
     if cap and longest.bit_length() > 3 * cap and longest >= 10**cap:
         raise too_long
     return value
-
-
-def latex_number(value: Fraction) -> str:
-    """An exact rational in LaTeX: ``3`` or ``\\frac{1}{2}``."""
-    return rational_text(value, "\\frac{{{}}}{{{}}}")
 
 
 def json_number(value: Fraction) -> dict:
@@ -247,20 +261,23 @@ def _constant(arity: int, value) -> "LaurentPoly":
     return _made(arity, terms, value.denominator, _MIN_BITS, 0)
 
 
-def _sum_of_products(arity: int, products, den: int, reach: int) -> "LaurentPoly":
-    """``(1/den) * sum(factor * A * B)`` over ``(factor, a, b)`` in ``products``.
+def _sum_of_products(arity: int, signed: Sequence[tuple]) -> "LaurentPoly":
+    """``sum(sign * a * b)`` over the ``(sign, a, b)`` in ``signed``.
 
-    ``A`` and ``B`` are the packed numerator maps of ``a`` and ``b``; the
-    caller picks each ``factor`` to put its product over ``den``.
-    ``reach`` bounds every product's exponents and sets the one digit
-    width.  All products accumulate in one map; cancelled terms are
-    dropped and the map is reduced once, at the end.  ``a * b`` is the
-    one-product case.
+    The products' numerator maps go over the least common denominator
+    of their denominators ``a._den * b._den``, each scaled by its share
+    of it.  The largest ``a._reach + b._reach`` bounds every product's
+    exponents and sets the one digit width.  All products accumulate in
+    one map; cancelled terms are dropped and the map is reduced once, at
+    the end.  ``a * b`` is the one-product case.
     """
+    den = math.lcm(*(a._den * b._den for _, a, b in signed))
+    reach = max(a._reach + b._reach for _, a, b in signed)
     bits = _bits_for(reach)
     total: dict[int, int] = {}
     get = total.get
-    for factor, a, b in products:
+    for sign, a, b in signed:
+        factor = sign * (den // (a._den * b._den))
         b_items = list(b._at(bits).items())
         for ka, ca in a._at(bits).items():
             ca *= factor
@@ -500,10 +517,7 @@ class LaurentPoly:
             scaled = {k: c * other.numerator for k, c in self._terms.items()}
             scaled, den = _reduce(scaled, self._den * other.denominator)
             return _made(self.arity, scaled, den, self._bits, self._reach)
-        rhs = self._coerce(other)
-        return _sum_of_products(
-            self.arity, ((1, self, rhs),), self._den * rhs._den, self._reach + rhs._reach
-        )
+        return _sum_of_products(self.arity, ((1, self, self._coerce(other)),))
 
     __rmul__ = __mul__
 
@@ -635,7 +649,7 @@ class LaurentPoly:
 
     def to_latex(self, varnames: Sequence[str] | None = None) -> str:
         """LaTeX form with explicit negative exponents, e.g. ``z_{1}^{-1}``."""
-        return self._render(varnames, " ", "{}^{{{}}}", "\\frac{{{}}}{{{}}}")
+        return self._render(varnames, " ", "{}^{{{}}}", LATEX_FRACTION)
 
     def _render(self, varnames, join: str, power_fmt: str, fraction_fmt: str) -> str:
         """Signed terms in grlex order; a unit magnitude is shown only on constants."""
@@ -766,10 +780,7 @@ class RationalFn:
     def to_latex(self, varnames: Sequence[str] | None = None) -> str:
         if self.den == 1:
             return self.num.to_latex(varnames)
-        return (
-            f"\\frac{{{self.num.to_latex(varnames)}}}"
-            f"{{{self.den.to_latex(varnames)}}}"
-        )
+        return LATEX_FRACTION.format(self.num.to_latex(varnames), self.den.to_latex(varnames))
 
     def _json_fields(self) -> dict:
         return {"arity": self.arity, "numerator": self.num, "denominator": self.den}
@@ -814,10 +825,7 @@ def det(matrix: Sequence[Sequence]):
                 raise InputDomainError(f"arity mismatch: {arity} vs {entry.arity}")
 
         def expand(signed):
-            den = math.lcm(*(a._den * b._den for _, a, b in signed))
-            reach = max(a._reach + b._reach for _, a, b in signed)
-            products = [(sign * (den // (a._den * b._den)), a, b) for sign, a, b in signed]
-            return _sum_of_products(arity, products, den, reach)
+            return _sum_of_products(arity, signed)
     else:
 
         def expand(signed):
@@ -887,6 +895,8 @@ class ScaledForm:
 
     prefix: ClassVar[str] = "x"
 
+    __repr__ = exact_repr
+
     def evaluate(self, point: Sequence) -> "Fraction | complex":
         return self.scale * self.body.evaluate(point)
 
@@ -896,11 +906,17 @@ class ScaledForm:
     def latex_names(self) -> tuple[str, ...]:
         return tuple(f"{self.prefix}_{{{q}}}" for q in range(1, self.dim + 1))
 
-    def to_text(self) -> str:
-        body = self.body.to_text(self.varnames())
+    def _scaled(self, body: str, layout: str, fraction: str = LATEX_FRACTION) -> str:
+        """``body`` alone at scale 1, else ``layout`` filled with the scale and ``body``.
+
+        The scale is written with the ``fraction`` layout, LaTeX's by default.
+        """
         if self.scale == 1:
             return body
-        return f"{rational_text(self.scale)} * ({body})"
+        return layout.format(rational_text(self.scale, fraction), body)
+
+    def to_text(self) -> str:
+        return self._scaled(self.body.to_text(self.varnames()), "{} * ({})", "{}/{}")
 
     def _json_fields(self) -> dict:
         """The JSON document, polynomials among its values; each domain declares its own."""

@@ -28,12 +28,13 @@ from typing import Callable, ClassVar, Sequence
 
 from .algebra import (
     EXACT_SCALARS,
+    LATEX_FRACTION,
     LaurentPoly,
     RationalFn,
     ScaledForm,
     det,
+    exact_repr,
     json_number,
-    latex_number,
     quoted,
     rational_text,
     read_rational,
@@ -72,6 +73,8 @@ class TustinParams:
     dim: int
     steps: tuple[Fraction, ...]
 
+    __repr__ = exact_repr
+
     def __post_init__(self):
         if not isinstance(self.dim, int) or self.dim < 1:
             raise InputDomainError(f"dimension must be a positive integer, got {self.dim!r}")
@@ -92,23 +95,20 @@ class TustinParams:
 
 
 def tustin_map(s, T):
-    """Bilinear map z = (1 + s*T/2)/(1 - s*T/2).
+    """Bilinear map z = (1 + s*T/2)/(1 - s*T/2) = v / u of Tustin's pair.
 
     Approximates z = exp(s*T): the imaginary axis lands on the unit
     circle, the left half-plane inside it, the right half-plane
-    outside.  Exact inputs stay exact; the map is singular at s = 2/T.
+    outside.  Exact inputs stay exact, others become ``complex``; the
+    map is singular where u = 2 - T*s vanishes, at s = 2/T.
     """
-    step = _as_step(T)
-    if isinstance(s, EXACT_SCALARS):
-        half = Fraction(s) * step / 2
-    else:
-        half = complex(s) * float(step) / 2
-    denominator = 1 - half
-    if denominator == 0:
+    params = TustinParams(1, (T,))
+    ((u, v),) = _tustin_keys(params, (s,))
+    if u == 0:
         raise MapSingularityError(
-            f"bilinear map is singular at s = 2/T = {rational_text(2 / step)}"
+            f"bilinear map is singular at s = 2/T = {rational_text(2 / params.steps[0])}"
         )
-    return (1 + half) / denominator
+    return v / u
 
 
 def _tustin_keys(params: TustinParams, xs: Sequence | None = None) -> list[tuple]:
@@ -149,7 +149,7 @@ def r_sum(dim: int, p: int, q: int, params: TustinParams) -> RationalFn:
     return RationalFn(moment_matrix(dim, [key])[p][0], key[1] ** dim)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class LaplaceResult(ScaledForm):
     """One Laplace-domain closed form: ``scale * numerator / pole product``.
 
@@ -178,10 +178,7 @@ class LaplaceResult(ScaledForm):
             f"\\left({v.to_latex(names)}\\right)^{{{self.dim}}}"
             for _, v in _tustin_keys(self.params)
         )
-        fraction = f"\\frac{{{numerator}}}{{{denominator}}}"
-        if self.scale == 1:
-            return fraction
-        return f"{latex_number(self.scale)} \\, {fraction}"
+        return self._scaled(LATEX_FRACTION.format(numerator, denominator), "{} \\, {}")
 
     def _json_fields(self) -> dict:
         return {

@@ -173,16 +173,14 @@ def check_tustin_consistency(
         failures.append("factored Laplace form differs from the Laplace determinant")
     for _ in range(samples):
         s_point = random_rational_s_point(rng, params)
-        z_point = tuple(
-            tustin_map(s, params.steps[q]) for q, s in enumerate(s_point)
-        )
+        z_point = tuple(map(tustin_map, s_point, params.steps))
         via_z = z_form.evaluate(z_point)
         via_s = s_form.evaluate(s_point)
         eval_z = factored_value(z_point)
         eval_s = factored_laplace_value(s_point, params)
         if not via_z == via_s == eval_z == eval_s:
             failures.append(
-                f"at s={s_point}: z-route {rational_text(via_z)} "
+                f"at s=({', '.join(map(rational_text, s_point))}): z-route {rational_text(via_z)} "
                 f"vs s-route {rational_text(via_s)}; eval's z-route "
                 f"{rational_text(eval_z)}, s-route {rational_text(eval_s)}"
             )

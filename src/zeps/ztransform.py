@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar, Sequence
 
-from .algebra import LaurentPoly, ScaledForm, det, json_number, latex_number, vandermonde
+from .algebra import LaurentPoly, ScaledForm, det, json_number, vandermonde
 from .epsilon import _identity_product, enumerate_indices, gamma_int, sign_oracle
 from .errors import EvaluationPoleError, InputDomainError, UnsupportedDimensionError
 
@@ -47,7 +47,7 @@ def require_moment(dim: int, p: int, q: int) -> None:
         raise InputDomainError(f"variable index q must lie in [1, {dim}], got {q!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class TransformResult(ScaledForm):
     """One closed-form Z-domain transform: ``scale * body``.
 
@@ -73,10 +73,7 @@ class TransformResult(ScaledForm):
         return self.scale * self.body
 
     def to_latex(self) -> str:
-        body = self.body.to_latex(self.latex_names())
-        if self.scale == 1:
-            return body
-        return f"{latex_number(self.scale)} \\left( {body} \\right)"
+        return self._scaled(self.body.to_latex(self.latex_names()), "{} \\left( {} \\right)")
 
     def _json_fields(self) -> dict:
         return {
@@ -123,7 +120,8 @@ def factored_moment_det(dim: int, keys: Sequence[tuple]):
 
 
 def _z_keys(dim: int) -> list[tuple]:
-    """The moment keys (z_q^{-1}, 1) for q = 1..dim."""
+    """The moment keys (z_q^{-1}, 1) for q = 1..dim, after checking dim's window."""
+    require_dim(dim, MAX_DIM)
     return [(LaurentPoly.variable(dim, q, -1), 1) for q in range(1, dim + 1)]
 
 
@@ -135,9 +133,9 @@ def s_sum(dim: int, p: int, q: int) -> LaurentPoly:
     dim-variable ring so matrix entries for different q multiply
     directly.
     """
-    require_dim(dim, MAX_DIM)
+    keys = _z_keys(dim)
     require_moment(dim, p, q)
-    return moment_matrix(dim, _z_keys(dim)[q - 1 : q])[p][0]
+    return moment_matrix(dim, keys[q - 1 : q])[p][0]
 
 
 def scale_constant(dim: int) -> int:
@@ -176,7 +174,6 @@ def determinant_ztransform(dim: int) -> TransformResult:
     call, it is the oracle that ``factored_ztransform`` is checked
     against; ``verify`` builds it once, in the oracle check.
     """
-    require_dim(dim, MAX_DIM)
     body = det(moment_matrix(dim, _z_keys(dim)))
     return TransformResult(dim, Fraction(1, scale_constant(dim)), body)
 
@@ -190,7 +187,6 @@ def factored_ztransform(dim: int) -> TransformResult:
     included, in O(dim^2) polynomial products instead of a cofactor
     expansion.
     """
-    require_dim(dim, MAX_DIM)
     body = factored_moment_det(dim, _z_keys(dim))
     return TransformResult(dim, Fraction(1, scale_constant(dim)), body)
 

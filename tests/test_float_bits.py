@@ -8,7 +8,7 @@ scale taken to ``float`` and multiplied into the value.  Every complex
 result must match it in every bit of its real and imaginary parts, not
 just to a tolerance, and every exact result must match it exactly.
 ``reference_evaluate`` does the same for ``LaurentPoly.evaluate`` at
-inexact points.
+inexact points, and ``reference_tustin`` for the bilinear map itself.
 """
 
 import random
@@ -21,7 +21,7 @@ from zeps.algebra import LaurentPoly, vandermonde
 from zeps.errors import EvaluationPoleError
 from zeps.sdomain import (
     TustinParams, factored_laplace, factored_laplace_value, laplace_compact_3d,
-    laplace_determinant,
+    laplace_determinant, tustin_map,
 )
 from zeps.ztransform import compact_sum_3d, factored_ztransform, moment_matrix
 
@@ -40,6 +40,14 @@ def reference_images(coords, steps):
             ts = complex(s) * float(step)
         images.append((2 - ts) / (2 + ts))
     return images
+
+
+def reference_tustin(s, step):
+    if isinstance(s, (int, Fraction)):
+        ts = Fraction(s) * step
+    else:
+        ts = complex(s) * float(step)
+    return (2 + ts) / (2 - ts)
 
 
 def reference_scale(scale, value):
@@ -190,3 +198,31 @@ def test_laurent_poly_evaluate(poly, sampler):
                 poly.evaluate(point)
         else:
             assert_same(poly.evaluate(point), expected)
+
+
+@pytest.mark.parametrize("sampler", SAMPLERS, ids=lambda f: f.__name__)
+def test_tustin_map(sampler):
+    rng = random.Random(5)
+    for _ in range(1000):
+        (s,) = sampler(rng, 1)
+        step = rng.choice(STEPS)
+        if step * s != 2:  # off the map's singularity
+            assert_same(tustin_map(s, step), reference_tustin(s, step))
+
+
+# Where halving T*s first, as (1 + s*T/2)/(1 - s*T/2) reads, would round a
+# subnormal part: to a point on s = 2/T, to a value a few bits off, or to a
+# zero of the other sign.
+SUBNORMAL_PARTS = (
+    (2 + 5e-324j, Fraction(1)),  # -1+infj; halving first raised MapSingularityError
+    (2 - 5e-324j, Fraction(1)),
+    (2 + 1e-308j, Fraction(1, 2)),
+    (2 + 1e-308j, Fraction(3, 2)),
+    (-2 + 2.5e-310j, Fraction(1, 3)),
+    (-5e-324j, Fraction(1)),
+)
+
+
+@pytest.mark.parametrize("s,step", SUBNORMAL_PARTS, ids=str)
+def test_tustin_map_at_subnormal_parts(s, step):
+    assert_same(tustin_map(s, step), reference_tustin(s, step))

@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -46,6 +47,18 @@ class TestTustinParams:
         # the message writes the step in full, past Python's int-to-str cap
         with pytest.raises(InputDomainError, match=f"positive, got -1{'0' * 5000}$"):
             TustinParams(1, (-(10**5000),))
+
+    def test_repr_reads_as_the_dataclass_repr(self):
+        assert repr(TustinParams(1, (3,))) == "TustinParams(dim=1, steps=(Fraction(3, 1),))"
+        assert repr(TustinParams(2, (1, Fraction(1, 2)))) == (
+            "TustinParams(dim=2, steps=(Fraction(1, 1), Fraction(1, 2)))"
+        )
+
+    def test_repr_past_the_digit_cap(self):
+        # Fraction's own repr raises past Python's int-to-str cap
+        step = f"Fraction(1, 1{'0' * 5000})"
+        text = repr(TustinParams(2, (Fraction(1, 10**5000),) * 2))
+        assert text == f"TustinParams(dim=2, steps=({step}, {step}))"
 
     def test_step_count_must_match(self):
         with pytest.raises(InputDomainError):
@@ -348,6 +361,20 @@ class TestLaplaceResultSurface:
         latex = laplace_determinant(3).to_latex()
         assert latex.startswith("\\frac{1}{2}")
         assert "\\left(s_{3} + 2\\right)^{3}" in latex
+
+    def test_repr_reads_as_the_dataclass_repr(self):
+        result = laplace_determinant(2, TustinParams(2, (1, Fraction(1, 2))))
+        assert repr(result) == (
+            f"LaplaceResult(dim=2, scale=Fraction(1, 1), numerator={result.numerator!r}, "
+            "params=TustinParams(dim=2, steps=(Fraction(1, 1), Fraction(1, 2))))"
+        )
+
+    def test_repr_past_the_digit_cap(self):
+        step = Fraction(1, 10**5000)
+        result = laplace_determinant(2, TustinParams(2, (step, 1)))
+        text = repr(replace(result, scale=step))
+        assert text.startswith(f"LaplaceResult(dim=2, scale=Fraction(1, 1{'0' * 5000}), ")
+        assert text.endswith(f"steps=(Fraction(1, 1{'0' * 5000}), Fraction(1, 1))))")
 
     def test_latex_non_uniform_steps(self):
         params = TustinParams(2, (Fraction(1), Fraction(1, 2)))

@@ -100,6 +100,24 @@ class TestChecks:
         assert result.details[0] == "factored Laplace form differs from the Laplace determinant"
         assert sum(line.startswith("at s=") for line in result.details) == 3
 
+    def test_tustin_check_writes_the_failing_point_as_rationals(self, monkeypatch):
+        build = laplace_determinant
+
+        def skewed(dim, params=None):
+            result = build(dim, params)
+            return replace(result, scale=result.scale * 2)
+
+        monkeypatch.setattr("zeps.verify.laplace_determinant", skewed)
+        result = check_tustin_consistency(3, samples=4, seed=3)
+        lines = [line for line in result.details if line.startswith("at s=")]
+        assert len(lines) == 4
+        # the check draws its points from the seed in this order
+        rng, params = random.Random(3), TustinParams.uniform(3)
+        for line in lines:
+            point = random_rational_s_point(rng, params)
+            assert line.startswith(f"at s=({', '.join(map(str, point))}): z-route ")
+            assert "Fraction(" not in line
+
 
 def test_epsilon_check_rejects_dimension_before_enumerating():
     # 7**7 tuples would take most of a minute; the window check comes first

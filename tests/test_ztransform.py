@@ -9,6 +9,7 @@ from zeps.algebra import LaurentPoly
 from zeps.errors import InputDomainError, UnsupportedDimensionError
 from zeps.verify import random_z_point, rel_close
 from zeps.ztransform import (
+    TransformResult,
     brute_force_ztransform,
     compact_form_3d,
     determinant_ztransform,
@@ -210,6 +211,18 @@ class TestTransformResultSurface:
         assert data["scale"] == {"num": 1, "den": 2}
         assert data["roc"] == ["z1 != 0", "z2 != 0", "z3 != 0"]
         assert LaurentPoly.from_json_dict(data["body"]) == result.body
+
+    def test_repr_reads_as_the_dataclass_repr(self):
+        result = determinant_ztransform(3)
+        assert repr(result) == (
+            f"TransformResult(dim=3, scale=Fraction(1, 2), body={result.body!r})"
+        )
+
+    def test_repr_past_the_digit_cap(self):
+        # Fraction's own repr raises past Python's int-to-str cap
+        body = determinant_ztransform(2).body
+        text = repr(TransformResult(2, Fraction(1, 10**5000), body))
+        assert text == f"TransformResult(dim=2, scale=Fraction(1, 1{'0' * 5000}), body={body!r})"
 
     def test_evaluate_applies_scale(self):
         result = determinant_ztransform(3)
