@@ -38,7 +38,11 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_EVALUATION = 3
 
-DOMAIN_MAX_DIM = {"z": MAX_DIM, "s": MAX_LAPLACE_DIM}
+# What each --domain names: its dimension window, its builder and its evaluator.
+DOMAINS = {
+    "z": (MAX_DIM, lambda dim, _: factored_ztransform(dim), lambda point, _: factored_value(point)),
+    "s": (MAX_LAPLACE_DIM, factored_laplace, factored_laplace_value),
+}
 
 
 def _parse_steps(text: str, dim: int) -> TustinParams:
@@ -85,15 +89,9 @@ def _parse_point(text: str, dim: int) -> tuple:
     return components
 
 
-def _build_transform(args):
-    params = _window_then_steps(args, DOMAIN_MAX_DIM[args.domain])
-    if args.domain == "z":
-        return factored_ztransform(args.dim)
-    return factored_laplace(args.dim, params)
-
-
 def cmd_emit(args) -> tuple[int, str]:
-    result = _build_transform(args)
+    high, build, _ = DOMAINS[args.domain]
+    result = build(args.dim, _window_then_steps(args, high))
     if args.format == "json":
         return EXIT_OK, result.to_json()
     if args.format == "latex":
@@ -102,12 +100,9 @@ def cmd_emit(args) -> tuple[int, str]:
 
 
 def cmd_eval(args) -> tuple[int, str]:
-    params = _window_then_steps(args, DOMAIN_MAX_DIM[args.domain])
-    point = _parse_point(args.point, args.dim)
-    if args.domain == "z":
-        value = factored_value(point)
-    else:
-        value = factored_laplace_value(point, params)
+    high, _, value_at = DOMAINS[args.domain]
+    params = _window_then_steps(args, high)
+    value = value_at(_parse_point(args.point, args.dim), params)
     if isinstance(value, Fraction):
         return EXIT_OK, rational_text(value)
     if not cmath.isfinite(value):
@@ -161,12 +156,12 @@ def build_parser() -> argparse.ArgumentParser:
     shape.add_argument("--T", default="1", help="step constant(s), e.g. 1 or 1/2,1/4")
 
     emit = sub.add_parser("emit", parents=[shape], help="print a closed-form transform")
-    emit.add_argument("--domain", choices=("z", "s"), required=True)
+    emit.add_argument("--domain", choices=DOMAINS, required=True)
     emit.add_argument("--format", choices=("json", "latex", "text"), default="text")
     emit.set_defaults(func=cmd_emit)
 
     evaluate = sub.add_parser("eval", parents=[shape], help="evaluate a transform at a point")
-    evaluate.add_argument("--domain", choices=("z", "s"), required=True)
+    evaluate.add_argument("--domain", choices=DOMAINS, required=True)
     evaluate.add_argument(
         "--point",
         required=True,

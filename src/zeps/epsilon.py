@@ -66,6 +66,14 @@ def sign_oracle(indices: Sequence[int]) -> int:
     return -1 if inversions % 2 else 1
 
 
+def _closed_form_index(indices: Sequence[int], form: str) -> MultiIndex:
+    """``check_index``, then the dimension >= 2 that both closed forms need."""
+    idx = check_index(indices)
+    if len(idx) < 2:
+        raise UnsupportedDimensionError(f"the {form} closed form needs dimension >= 2")
+    return idx
+
+
 def epsilon_product(indices: Sequence[int]) -> int:
     """Closed-form symbol value: one integer Vandermonde product, one division.
 
@@ -76,13 +84,8 @@ def epsilon_product(indices: Sequence[int]) -> int:
     integers and the division is exact; its quotient is always 0 or
     +/-1 and equals ``sign_oracle``.
     """
-    idx = check_index(indices)
-    dim = len(idx)
-    if dim < 2:
-        raise UnsupportedDimensionError(
-            "the product closed form needs dimension >= 2"
-        )
-    value, remainder = divmod(difference_product(idx), _identity_product(dim))
+    idx = _closed_form_index(indices, "product")
+    value, remainder = divmod(difference_product(idx), _identity_product(len(idx)))
     if remainder:
         raise IdentityViolationError(f"product form left remainder {remainder} at {idx}")
     return value
@@ -106,12 +109,8 @@ def epsilon_generalized(indices: Sequence[int], values: Sequence) -> "Fraction |
     makes a denominator vanish and raises
     :class:`DegenerateDenominatorError`.
     """
-    idx = check_index(indices)
+    idx = _closed_form_index(indices, "generalized")
     dim = len(idx)
-    if dim < 2:
-        raise UnsupportedDimensionError(
-            "the generalized closed form needs dimension >= 2"
-        )
     table = tuple(values)
     if len(table) != dim:
         raise InputDomainError(

@@ -20,6 +20,7 @@ path never leaves rational arithmetic.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -99,8 +100,9 @@ def tustin_map(s, T):
 
     Approximates z = exp(s*T): the imaginary axis lands on the unit
     circle, the left half-plane inside it, the right half-plane
-    outside.  Exact inputs stay exact, others become ``complex``; the
-    map is singular where u = 2 - T*s vanishes, at s = 2/T.
+    outside.  Exact inputs stay exact, others become ``complex``, and a
+    complex T*s past the float range maps to the limit -1.  The map is
+    singular where u = 2 - T*s vanishes, at s = 2/T.
     """
     params = TustinParams(1, (T,))
     ((u, v),) = _tustin_keys(params, (s,))
@@ -108,7 +110,7 @@ def tustin_map(s, T):
         raise MapSingularityError(
             f"bilinear map is singular at s = 2/T = {rational_text(2 / params.steps[0])}"
         )
-    return v / u
+    return _pair_ratio(v, u)
 
 
 def _tustin_keys(params: TustinParams, xs: Sequence | None = None) -> list[tuple]:
@@ -123,6 +125,18 @@ def _tustin_keys(params: TustinParams, xs: Sequence | None = None) -> list[tuple
     else:
         xs = [x if isinstance(x, EXACT_SCALARS) else complex(x) for x in xs]
     return [(2 - step * x, 2 + step * x) for step, x in zip(params.steps, xs)]
+
+
+def _pair_ratio(top, bottom):
+    """``top / bottom`` of one Tustin pair, either way up.
+
+    The pair sums to 4, so the ratio tends to -1 as T s grows.  Where a
+    complex T s overflowed, both parts are infinite and the ratio is
+    that limit; exact values never overflow and are divided as they are.
+    """
+    if isinstance(top, complex) and cmath.isinf(top) and cmath.isinf(bottom):
+        return complex(-1)
+    return top / bottom
 
 
 def _denominator_product(params: TustinParams) -> LaurentPoly:
@@ -245,7 +259,7 @@ def _bilinear_images(coords: Sequence, params: TustinParams) -> list:
     for q, (u, v) in enumerate(_tustin_keys(params, coords), start=1):
         if v == 0:
             raise EvaluationPoleError(f"point sits on the pole hyperplane T_{q} s_{q} = -2")
-        images.append(u / v)
+        images.append(_pair_ratio(u, v))
     return images
 
 
@@ -265,6 +279,15 @@ def factored_laplace_value(
     return vandermonde(_bilinear_images(coords, _laplace_params(len(coords), params)))
 
 
+def _single_2d_step(params: TustinParams, form: str) -> Fraction:
+    """The one step T of a 2-D ``form`` that is stated for a single uniform T."""
+    if params.dim != 2:
+        raise InputDomainError(f"{form} needs dimension 2, got {params.dim}")
+    if not params.is_uniform:
+        raise InputDomainError(f"{form} is stated for a single uniform T")
+    return params.steps[0]
+
+
 def laplace_2d_closed(params: TustinParams) -> LaplaceResult:
     """Direct two-dimensional closed form (uniform step T):
 
@@ -272,11 +295,7 @@ def laplace_2d_closed(params: TustinParams) -> LaplaceResult:
 
     Equal to the body of ``laplace_determinant(2, params)`` term for term.
     """
-    if params.dim != 2:
-        raise InputDomainError(f"closed 2-D form needs dimension 2, got {params.dim}")
-    if not params.is_uniform:
-        raise InputDomainError("closed 2-D form is stated for a single uniform T")
-    step = params.steps[0]
+    step = _single_2d_step(params, "closed 2-D form")
     s1 = LaurentPoly.variable(2, 1)
     s2 = LaurentPoly.variable(2, 2)
     numerator = (
@@ -364,11 +383,7 @@ def pole_zero_report_2d(params: TustinParams) -> PoleZeroReport:
     s_q = +2/T, and the inter-dimensional zero on s_1 = s_2 survives
     the map.
     """
-    if params.dim != 2:
-        raise InputDomainError(f"pole/zero report covers dimension 2, got {params.dim}")
-    if not params.is_uniform:
-        raise InputDomainError("pole/zero report is stated for a single uniform T")
-    step = params.steps[0]
+    step = _single_2d_step(params, "pole/zero report")
     pole = Fraction(-2) / step
     zero = Fraction(2) / step
     return PoleZeroReport(

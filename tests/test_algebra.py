@@ -68,6 +68,9 @@ class TestConstruction:
             P(0, {})
         with pytest.raises(InputDomainError):
             P(1, {(1.5,): 1})
+        for var in (0, 3):
+            with pytest.raises(InputDomainError, match=f"variable {var} outside"):
+                LaurentPoly.variable(2, var)
 
     def test_float_coefficients_rejected(self):
         with pytest.raises(InputDomainError):
@@ -291,6 +294,8 @@ class TestRationalFn:
             RationalFn(s)  # the denominator is required
         with pytest.raises(InputDomainError):
             RationalFn(1, s)
+        with pytest.raises(InputDomainError, match="denominator must be"):
+            RationalFn(s, 1)
         with pytest.raises(InputDomainError):
             RationalFn(s, LaurentPoly.variable(2, 1))
 
@@ -332,6 +337,10 @@ class TestSerialization:
     def test_malformed_json_rejected(self):
         with pytest.raises(InputDomainError):
             LaurentPoly.from_json_dict({"arity": 1})
+        numerator = LaurentPoly.variable(1, 1).to_json_dict()
+        for data in ({"numerator": numerator}, [numerator]):
+            with pytest.raises(InputDomainError, match="malformed rational-function JSON"):
+                RationalFn.from_json_dict(data)
 
     def test_read_int_inverts_int_text_past_the_digit_cap(self):
         rng = random.Random(5)
@@ -511,8 +520,10 @@ class TestWriters:
     def test_result_json_matches_json_dumps(self, result):
         check_result_writers(result)
 
-    # Hypothesis cannot take these as explicit examples: it reports an
-    # example through repr, and Fraction's repr refuses past the cap.
+    # Hypothesis cannot take these as explicit examples: it prints every
+    # explicit example before running it, its printer writes a dataclass
+    # field by field rather than through the class's repr, and Fraction's
+    # repr refuses past the cap.
     @pytest.mark.parametrize("result", PAST_CAP_RESULTS, ids=("z-scale", "s-steps"))
     def test_result_numbers_past_the_cap(self, result):
         check_result_writers(result)

@@ -376,6 +376,19 @@ class TestPointBoundary:
         assert code == EXIT_OK
         assert complex(out.strip()) == pytest.approx(-4 / 9)
 
+    @pytest.mark.parametrize(
+        "point, value",
+        [("1e308j,1", "(-0+0j)"), ("1e308+1e308j,1/3", "(-0.7500000000000002+0j)")],
+    )
+    def test_s_coordinate_past_the_float_range_maps_to_its_limit(self, capsys, point, value):
+        # T s1 overflows, so both parts of Tustin's pair are infinite and w1 = -1;
+        # the value is w1 w2 (w2 - w1) with w2 = 0, then w2 = 1/2
+        code, out, _ = run(
+            capsys, "eval", "--domain", "s", "--dim", "2", "--T", "2", f"--point={point}"
+        )
+        assert code == EXIT_OK
+        assert out.strip() == value
+
     def test_z_value_beyond_float_range_is_evaluation_error(self, capsys):
         # 1/z = (1e200, 1e100): the true value is about -1e500
         code, out, err = run(

@@ -289,15 +289,15 @@ class TestFactoredFunctions:
 
 
 def test_eval_builds_no_expanded_form(monkeypatch):
+    # every LaurentPoly is filled through algebra._fill, so eval builds no
+    # polynomial at all: no transform, factored or expanded, and no pole product
     def refuse(*args, **kwargs):
-        raise AssertionError("eval built an expanded transform")
+        raise AssertionError("eval built a polynomial")
 
-    monkeypatch.setattr("zeps.cli.determinant_ztransform", refuse)
-    monkeypatch.setattr("zeps.cli.laplace_determinant", refuse)
+    monkeypatch.setattr("zeps.algebra._fill", refuse)
     assert eval_stdout(["eval", "--domain", "z", "--dim", "6", "--point", "1,2,3,4,5,6"])
-    assert eval_stdout(
-        ["eval", "--domain", "s", "--dim", "5", "--T", "1/2", "--point=1/3,1,2,-1,5/2"]
-    )
+    for point in ("--point=1/3,1,2,-1,5/2", "--point=0.5+1j,1,2,-1,5/2"):
+        assert eval_stdout(["eval", "--domain", "s", "--dim", "5", "--T", "1/2", point])
 
 
 def key_part(rng: random.Random, kind: type):

@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -36,12 +38,18 @@ class TestTustinParams:
     def test_float_steps_become_exact(self):
         params = TustinParams.uniform(2, 0.5)
         assert params.steps == (Fraction(1, 2), Fraction(1, 2))
+        # a non-finite float has no exact value
+        for step in (float("inf"), float("nan")):
+            with pytest.raises(InputDomainError, match="cannot read step constant"):
+                TustinParams.uniform(2, step)
 
     def test_positive_steps_required(self):
         with pytest.raises(InputDomainError):
             TustinParams(2, (1, 0))
         with pytest.raises(InputDomainError):
             TustinParams(2, (Fraction(-1, 2), 1))
+        with pytest.raises(InputDomainError, match="must be rational numbers, got complex"):
+            TustinParams(2, (1, 1j))
 
     def test_non_positive_step_past_the_digit_cap_is_named(self):
         # the message writes the step in full, past Python's int-to-str cap
@@ -63,6 +71,8 @@ class TestTustinParams:
     def test_step_count_must_match(self):
         with pytest.raises(InputDomainError):
             TustinParams(3, (1, 1))
+        with pytest.raises(InputDomainError, match="positive integer, got 0"):
+            TustinParams(0, ())
 
 
 class TestTustinMap:
@@ -90,6 +100,11 @@ class TestTustinMap:
 
     def test_exact_rational_path(self):
         assert tustin_map(Fraction(1), Fraction(1)) == Fraction(3)
+
+    def test_overflowed_pair_gives_its_limit(self):
+        # T s = 2e308j overflows, so 2 - T s and 2 + T s are both infinite;
+        # their ratio tends to -1, and dividing them would give nan
+        assert tustin_map(1e308j, 2) == complex(-1)
 
     def test_singularity(self):
         with pytest.raises(MapSingularityError):
@@ -217,6 +232,22 @@ class TestLaplaceDeterminant:
         params = TustinParams(2, (Fraction(1), Fraction(1, 3)))
         result = laplace_determinant(2, params)
         assert result.body.den == _denominator_product(params)
+
+    @pytest.mark.parametrize(
+        "steps",
+        [(Fraction(3, 2),) * 5, tuple(map(Fraction, ("1/2", "3", "2/5", "7", "5/3")))],
+        ids=["uniform", "per-dimension"],
+    )
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_pole_product_matches_its_binomial_expansion(self, dim, steps):
+        # the coefficient of s^k in prod_q (2 + T_q s_q)^N is
+        # prod_q C(N, k_q) 2^(N - k_q) T_q^(k_q), written with no polynomial product
+        steps = steps[:dim]
+        expected = {
+            k: math.prod(math.comb(dim, i) * 2 ** (dim - i) * t**i for i, t in zip(k, steps))
+            for k in itertools.product(range(dim + 1), repeat=dim)
+        }
+        assert dict(_denominator_product(TustinParams(dim, steps)).terms) == expected
 
     def test_pole_confinement_3d_by_sampling(self):
         params = TustinParams(3, (Fraction(1), Fraction(2), Fraction(1, 2)))
