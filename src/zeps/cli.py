@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -130,18 +131,21 @@ def cmd_verify(args) -> tuple[int, str]:
 
 
 def cmd_report(args) -> tuple[int, str]:
+    params = _window_then_steps(args, MAX_DIM)
     if args.dim != 2:
         raise ValueError(
-            "pole/zero report is implemented for dim 2 only; for dim >= 3 use "
+            f"pole/zero report is implemented for dim 2 only; for dims 3 to {MAX_DIM} use "
             "`verify` (sampling-based consistency checks) instead"
         )
-    report = pole_zero_report_2d(_parse_steps(args.T, 2))
+    report = pole_zero_report_2d(params)
     if args.format == "text":
         return EXIT_OK, report.to_text()
     return EXIT_OK, json_text(report.to_json_dict())
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser: built on the first call, shared after."""
     parser = argparse.ArgumentParser(
         prog="zeps",
         description=(

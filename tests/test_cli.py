@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import shlex
@@ -10,7 +11,9 @@ import pytest
 
 import zeps.verify
 from zeps.algebra import LaurentPoly, RationalFn, det
-from zeps.cli import EXIT_EVALUATION, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, main
+from zeps.cli import (
+    EXIT_EVALUATION, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, build_parser, main,
+)
 from zeps.sdomain import (
     TustinParams, _denominator_product, _tustin_keys, factored_laplace, laplace_determinant,
 )
@@ -337,6 +340,23 @@ class TestReport:
         assert code == EXIT_USAGE
         assert "verify" in err
 
+    def test_dim_3_hint_names_the_verify_window(self, capsys):
+        code, out, err = run(capsys, "report", "--dim", "3")
+        assert code == EXIT_USAGE and out == ""
+        assert "for dims 3 to 6 use `verify`" in err
+
+    @pytest.mark.parametrize("dim", ["1", "7"])
+    def test_dim_outside_the_window_gets_the_window_message(self, capsys, dim):
+        # no hint toward `verify`, which refuses these dims too
+        code, out, err = run(capsys, "report", "--dim", dim)
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: dimension must be an integer in [2, 6], got {dim}\n"
+
+    def test_step_is_read_before_the_dim_3_refusal(self, capsys):
+        code, out, err = run(capsys, "report", "--dim", "3", "--T=abc")
+        assert code == EXIT_USAGE and out == ""
+        assert "step constant" in err
+
 
 class TestPointBoundary:
     def test_zero_denominator_coordinate_is_usage_error(self, capsys):
@@ -537,6 +557,80 @@ class TestDimensionWindow:
         code, out, err = run(capsys, *argv)
         assert code == EXIT_USAGE and out == ""
         assert f"dimension must be an integer in {window}" in err
+
+
+def outcome(capsys, argv):
+    """(exit code, stdout, stderr) of ``main(argv)``; a ``SystemExit`` gives its code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+# Help, usage errors and good runs of every command, in the order one
+# process runs them below.
+SEQUENCE = (
+    ("--help",),
+    ("emit", "--help"),
+    ("verify", "--dim", "3", "--samples", "0"),
+    ("eval", "--domain", "z", "--dim", "2", "--T=abc", "--point", "1,2"),
+    ("eval", "--domain", "s", "--dim", "2"),
+    ("emit", "--domain", "s", "--dim", "2", "--T", "1/2", "--format", "json"),
+    ("eval", "--domain", "z", "--dim", "3", "--point", "2,1,1/3"),
+    ("verify", "--dim", "3", "--samples", "2"),
+    ("report", "--dim", "2"),
+)
+
+
+class TestSharedParser:
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_later_calls_build_no_parser(self, capsys, monkeypatch):
+        outcome(capsys, ("emit", "--domain", "z", "--dim", "2"))
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        calls = (
+            ("emit", "--domain", "z", "--dim", "3", "--format", "json"),
+            ("emit", "--domain", "s", "--dim", "2", "--format", "latex"),
+            ("eval", "--domain", "z", "--dim", "2", "--point", "2,1"),
+            ("eval", "--domain", "s", "--dim", "2", "--point", "1+1j,2"),
+            ("eval", "--domain", "z", "--dim", "2", "--point", "0,1"),
+            ("verify", "--dim", "3", "--samples", "1"),
+            ("report", "--dim", "2", "--format", "json"),
+            ("report", "--dim", "3"),
+            ("emit", "--domain", "z", "--dim", "2", "--format", "xml"),
+            ("eval", "--help"),
+        )
+        codes = [outcome(capsys, argv)[0] for argv in calls]
+        assert codes == [0, 0, 0, 0, 3, 0, 0, 2, 2, 0]
+        assert built == []
+
+    def test_each_call_matches_a_fresh_process(self, capsys, monkeypatch):
+        # help wraps at the terminal width, which both sides read from COLUMNS
+        monkeypatch.setenv("COLUMNS", "80")
+        fresh = [
+            subprocess.Popen(
+                [sys.executable, "-m", "zeps", *argv],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            )
+            for argv in SEQUENCE
+        ]
+        here = [outcome(capsys, argv) for argv in SEQUENCE]
+        there = []
+        for process in fresh:
+            out, err = process.communicate()
+            there.append((process.returncode, out, err))
+        assert here == there
+        assert [code for code, _, _ in here] == [0, 0, 2, 2, 2, 0, 0, 0, 0]
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
