@@ -56,7 +56,11 @@ def check_index(indices: Sequence[int]) -> MultiIndex:
 
 def sign_oracle(indices: Sequence[int]) -> int:
     """Symbol value by inversion counting: 0 on repeats, else parity sign."""
-    idx = check_index(indices)
+    return _parity(check_index(indices))
+
+
+def _parity(idx: MultiIndex) -> int:
+    """``sign_oracle`` on a tuple that ``check_index`` would return unchanged."""
     n = len(idx)
     if len(set(idx)) != n:
         return 0
@@ -84,7 +88,11 @@ def epsilon_product(indices: Sequence[int]) -> int:
     integers and the division is exact; its quotient is always 0 or
     +/-1 and equals ``sign_oracle``.
     """
-    idx = _closed_form_index(indices, "product")
+    return _product_value(_closed_form_index(indices, "product"))
+
+
+def _product_value(idx: MultiIndex) -> int:
+    """``epsilon_product`` on a tuple that ``_closed_form_index`` would return unchanged."""
     value, remainder = divmod(difference_product(idx), _identity_product(len(idx)))
     if remainder:
         raise IdentityViolationError(f"product form left remainder {remainder} at {idx}")

@@ -4,7 +4,8 @@ Three checks are exposed: the product closed form against inversion
 parity (exhaustive); the factored Z-domain form that ``emit`` prints
 against the determinant and brute-force summation (exact polynomial
 equality); and the factored Laplace form against the Laplace
-determinant (exact polynomial equality), with that determinant against
+determinant and the expanded pole product against its binomial
+expansion (exact polynomial equality), with that determinant against
 the factored Z-domain form composed with the bilinear map and against
 both factored routes that ``eval`` takes (exact equality at seeded
 random rational points).  All sampling uses an explicit
@@ -14,14 +15,18 @@ sweeps everywhere.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import rational_text
-from .epsilon import enumerate_indices, epsilon_product, sign_oracle
+from . import sdomain
+from .algebra import LaurentPoly, rational_text
+from .epsilon import _parity, _product_value, enumerate_indices
 from .sdomain import (
     TustinParams,
+    _laplace_params,
+    _tustin_keys,
     factored_laplace,
     factored_laplace_value,
     laplace_determinant,
@@ -35,6 +40,9 @@ from .ztransform import (
     factored_ztransform,
     require_dim,
 )
+
+# Unused here; perfbench/tracing.py wraps these two names on this module.
+from .epsilon import epsilon_product, sign_oracle  # noqa: F401
 
 POINT_DENOMINATOR = 8
 
@@ -100,12 +108,16 @@ def random_rational_s_point(rng: random.Random, params: TustinParams) -> tuple:
 
 
 def check_epsilon_formulas(dim: int) -> CheckResult:
-    """Product closed form vs inversion parity over all dim**dim tuples."""
+    """Product closed form vs inversion parity over all dim**dim tuples.
+
+    Every tuple lies in the window by construction, so each goes straight
+    to the two kernels that ``epsilon_product`` and ``sign_oracle`` wrap.
+    """
     require_dim(dim, MAX_DIM)
     mismatches = [
         idx
         for idx in enumerate_indices(dim)
-        if epsilon_product(idx) != sign_oracle(idx)
+        if _product_value(idx) != _parity(idx)
     ]
     details = tuple(f"mismatch at {idx}" for idx in mismatches[:20])
     return CheckResult(
@@ -138,6 +150,34 @@ def check_determinant_oracle(dim: int) -> CheckResult:
     )
 
 
+def _binomial_pole_product(params: TustinParams) -> LaurentPoly:
+    """prod_q sum_k C(N, k) 2^(N-k) T_q^k s_q^k: the pole product by the binomial theorem.
+
+    Each row is written term by term with ``math.comb``, with no
+    polynomial power, and the N rows are multiplied across the variables.
+    """
+    dim = params.dim
+    rows = [
+        LaurentPoly(dim, {
+            tuple(k if i == q else 0 for i in range(dim)):
+                math.comb(dim, k) * 2 ** (dim - k) * step**k
+            for k in range(dim + 1)
+        })
+        for q, step in enumerate(params.steps)
+    ]
+    return math.prod(rows)
+
+
+def _pole_product_mismatch(params: TustinParams) -> int:
+    """Monomials in which the expanded pole product and its binomial oracle differ.
+
+    The expansion is looked up on ``sdomain``, so it is the one ``emit``
+    writes; both sides are freed when this returns.
+    """
+    expansion, oracle = sdomain._denominator_product(params), _binomial_pole_product(params)
+    return 0 if expansion == oracle else len((expansion - oracle).terms)
+
+
 def check_tustin_consistency(
     dim: int,
     params: TustinParams | None = None,
@@ -148,34 +188,43 @@ def check_tustin_consistency(
 
     The factored form, the one ``emit`` prints, must equal the Laplace
     determinant term for term: scale, numerator and steps, which fix the
-    pole product both divide by.  The determinant is then checked
-    against the factored Z-domain form composed with the bilinear map
-    at exact rational s-points.  That z-route is the form ``emit``
-    prints, which the oracle check holds equal to the Z-domain
-    determinant and to brute force; the s-route divides by the expanded
-    pole product, so the expansion is checked too.  Both routes evaluate
-    with no rounding and are compared for equality: any difference is a
-    true algebraic mismatch.  At each point the two values ``eval``
-    prints, ``factored_value`` at the mapped z-point and
+    pole product both divide by.  That pole product, expanded as ``emit``
+    writes it, must equal its binomial expansion term for term; it is
+    compared once, and a mismatch gives one detail line.  The
+    determinant is then checked against the factored Z-domain form
+    composed with the bilinear map at exact rational s-points.  That
+    z-route is the form ``emit`` prints, which the oracle check holds
+    equal to the Z-domain determinant and to brute force; the s-route
+    divides the determinant's numerator by the pole factors,
+    prod_q (2 + T_q s_q)^dim.  Both routes evaluate with no rounding and
+    are compared for equality: any difference is a true algebraic
+    mismatch.  At each point the two values ``eval`` prints,
+    ``factored_value`` at the mapped z-point and
     ``factored_laplace_value`` at the s-point, must equal them too; a
     failing point gives one detail line with all four values.  (The
     expanded higher-dimensional numerators cancel catastrophically
     under floating point, which is why no float point is sampled.)
     """
-    if params is None:
-        params = TustinParams.uniform(dim)
     z_form = factored_ztransform(dim)
+    params = _laplace_params(dim, params)
+    # compared before the Laplace forms are built, so less is live beside its two expansions
+    pole_mismatch = _pole_product_mismatch(params)
     s_form = laplace_determinant(dim, params)
     factored = factored_laplace(dim, params)
     rng = random.Random(seed)
     failures = []
     if factored != s_form:
         failures.append("factored Laplace form differs from the Laplace determinant")
+    if pole_mismatch:
+        failures.append(
+            f"pole product differs from its binomial expansion in {pole_mismatch} monomials"
+        )
     for _ in range(samples):
         s_point = random_rational_s_point(rng, params)
         z_point = tuple(map(tustin_map, s_point, params.steps))
         via_z = z_form.evaluate(z_point)
-        via_s = s_form.evaluate(s_point)
+        poles = math.prod(v**dim for _, v in _tustin_keys(params, s_point))
+        via_s = s_form.scale * s_form.numerator.evaluate(s_point) / poles
         eval_z = factored_value(z_point)
         eval_s = factored_laplace_value(s_point, params)
         if not via_z == via_s == eval_z == eval_s:

@@ -187,16 +187,64 @@ class TestVerify:
         assert out.splitlines()[2].startswith("FAIL: factored Laplace form")
 
     def test_failing_tustin_check_at_huge_steps_prints_its_fail_line(self, capsys, monkeypatch):
-        # at T = 1e500 the failing points' exact values run past Python's
-        # int-to-str digit cap; the detail lines must still be written
+        # at T = 1e500 the check's exact values run past Python's int-to-str
+        # digit cap; the detail lines must still be written.  A wrong pole
+        # product fails the term-for-term comparison (the points divide by
+        # the pole factors, so they still agree); a skewed scale fails the points.
         def one_power_too_many(params):
             return math.prod(v ** (params.dim + 1) for _, v in _tustin_keys(params))
 
-        monkeypatch.setattr("zeps.sdomain._denominator_product", one_power_too_many)
-        code, out, err = run(capsys, "verify", "--dim", "4", "--T", "1e500", "--samples", "1")
+        def skewed(dim, params=None):
+            result = laplace_determinant(dim, params)
+            return replace(result, scale=2 * result.scale)
+
+        argv = ("verify", "--dim", "4", "--T", "1e500", "--samples", "1")
+        with monkeypatch.context() as patch:
+            patch.setattr("zeps.sdomain._denominator_product", one_power_too_many)
+            code, out, err = run(capsys, *argv)
+        assert code == EXIT_VERIFY_FAILED
+        assert out.splitlines()[2].startswith("FAIL:")
+        assert "    pole product differs from its binomial expansion in 1296 monomials" in err
+        monkeypatch.setattr("zeps.verify.laplace_determinant", skewed)
+        code, out, err = run(capsys, *argv)
         assert code == EXIT_VERIFY_FAILED
         assert out.splitlines()[2].startswith("FAIL:")
         assert "    at s=" in err
+
+    @pytest.mark.parametrize("dim", [3, 4, 5])
+    @pytest.mark.parametrize("mutant", ["coefficient", "power"])
+    def test_a_wrong_pole_product_fails_the_term_for_term_comparison(
+        self, capsys, monkeypatch, dim, mutant
+    ):
+        # one binomial coefficient off (the s_1 coefficient, by adding s_1),
+        # or the first factor at power dim - 1; with per-dimension steps
+        def coefficient(params):
+            return _denominator_product(params) + LaurentPoly.variable(params.dim, 1)
+
+        def power(params):
+            (_, first), *rest = _tustin_keys(params)
+            return first ** (params.dim - 1) * math.prod(v**params.dim for _, v in rest)
+
+        mutants = {"coefficient": coefficient, "power": power}
+        monkeypatch.setattr("zeps.sdomain._denominator_product", mutants[mutant])
+        steps = ",".join(["1/2", "2/3", "3/4", "4/3", "5/2"][:dim])
+        code, out, err = run(capsys, "verify", "--dim", str(dim), "--T", steps, "--samples", "2")
+        assert code == EXIT_VERIFY_FAILED
+        lines = out.splitlines()
+        assert [line[:5] for line in lines] == ["PASS:", "PASS:", "FAIL:"]
+        assert lines[2].startswith("FAIL: factored Laplace form")
+        assert "    pole product differs from its binomial expansion in " in err
+        assert "at s=" not in err
+
+    def test_verify_evaluates_no_expanded_pole_product(self, capsys, monkeypatch):
+        # the s-route divides by the pole factors; nothing evaluates a quotient
+        def refuse(self, point):
+            raise AssertionError("RationalFn.evaluate called")
+
+        monkeypatch.setattr(RationalFn, "evaluate", refuse)
+        code, out, _ = run(capsys, "verify", "--dim", "5", "--samples", "4")
+        assert code == EXIT_OK
+        assert out.count("PASS:") == 3
 
     @pytest.mark.parametrize(
         "argv", [("--dim", "3"), ("--dim", "4", "--samples", "2")], ids=["dim3", "dim4"]

@@ -1,9 +1,11 @@
+import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from zeps.epsilon import _parity, _product_value
 from zeps.errors import UnsupportedDimensionError
 from zeps.sdomain import TustinParams, laplace_determinant
 from zeps.verify import (
@@ -117,6 +119,41 @@ class TestChecks:
             point = random_rational_s_point(rng, params)
             assert line.startswith(f"at s=({', '.join(map(str, point))}): z-route ")
             assert "Fraction(" not in line
+
+
+class TestEpsilonSweep:
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_each_tuple_reaches_both_kernels_once_unvalidated(self, monkeypatch, dim):
+        # "all N**N tuples": each one goes to each kernel once, and the
+        # window check comes once, so no tuple is validated again
+        calls = {"product": [], "parity": []}
+
+        def counted(name, kernel):
+            def call(idx):
+                calls[name].append(idx)
+                return kernel(idx)
+
+            return call
+
+        def refuse(indices):
+            raise AssertionError("a tuple was validated again")
+
+        monkeypatch.setattr("zeps.verify._product_value", counted("product", _product_value))
+        monkeypatch.setattr("zeps.verify._parity", counted("parity", _parity))
+        monkeypatch.setattr("zeps.epsilon.check_index", refuse)
+        assert check_epsilon_formulas(dim).passed
+        tuples = list(itertools.product(range(1, dim + 1), repeat=dim))
+        assert calls == {"product": tuples, "parity": tuples}
+
+    def test_one_flipped_permutation_sign_fails(self, monkeypatch):
+        def flipped(idx):
+            value = _product_value(idx)
+            return -value if idx == (1, 2, 4, 3) else value
+
+        monkeypatch.setattr("zeps.verify._product_value", flipped)
+        result = check_epsilon_formulas(4)
+        assert not result.passed
+        assert result.details == ("mismatch at (1, 2, 4, 3)",)
 
 
 def test_epsilon_check_rejects_dimension_before_enumerating():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -6,6 +7,7 @@ from math import factorial
 import pytest
 
 from zeps.algebra import LaurentPoly
+from zeps.epsilon import _parity
 from zeps.errors import InputDomainError, UnsupportedDimensionError
 from zeps.verify import random_z_point, rel_close
 from zeps.ztransform import (
@@ -114,6 +116,25 @@ class TestBruteForce:
         body = brute_force_ztransform(dim).body
         assert len(body.terms) == factorial(dim)
         assert all(c in (1, -1) for c in body.terms.values())
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_each_tuple_reaches_the_parity_kernel_once_unvalidated(self, monkeypatch, dim):
+        # "all N**N tuples": each one goes to the kernel once, and the
+        # window check comes once, so no tuple is validated again
+        calls = []
+
+        def counted(idx):
+            calls.append(idx)
+            return _parity(idx)
+
+        def refuse(indices):
+            raise AssertionError("a tuple was validated again")
+
+        monkeypatch.setattr("zeps.ztransform._parity", counted)
+        monkeypatch.setattr("zeps.epsilon.check_index", refuse)
+        body = brute_force_ztransform(dim).body
+        assert calls == list(itertools.product(range(1, dim + 1), repeat=dim))
+        assert body == factored_ztransform(dim).expanded()
 
 
 class TestDeterminantTransform:
