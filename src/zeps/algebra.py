@@ -55,8 +55,7 @@ def _as_fraction(value) -> Fraction:
 
 
 # Below the smallest digit cap Python allows on int-to-str conversion (640).
-_SHORT_DIGITS = 600
-_SHORT_INT = 10**_SHORT_DIGITS
+_SHORT_INT = 10**600
 
 
 def int_text(n: int) -> str:
@@ -74,26 +73,6 @@ def int_text(n: int) -> str:
     half = n.bit_length() * 3 // 20  # just under half the decimal digits
     high, low = divmod(n, 10**half)
     return int_text(high) + int_text(low).zfill(half)
-
-
-_DECIMAL = re.compile(r"-?[0-9]+")
-
-
-def read_int(text: str) -> int:
-    """The integer that ``int_text`` wrote, of any length.
-
-    Accepts only an optional ``-`` followed by ASCII digits; any other
-    string raises ``ValueError``.  A long digit string is split at a power
-    of ten into pieces that each convert under Python's int-to-str cap.
-    """
-    if not _DECIMAL.fullmatch(text):
-        raise ValueError(f"not a decimal integer: {text!r}")
-    if len(text) <= _SHORT_DIGITS:
-        return int(text)
-    if text[0] == "-":
-        return -read_int(text[1:])
-    low = len(text) // 2
-    return read_int(text[:-low]) * 10**low + read_int(text[-low:])
 
 
 # How LaTeX writes a fraction from the texts of its numerator and denominator.
@@ -171,7 +150,7 @@ def json_number(value: Fraction) -> dict:
 # A JSON document is a dict of strings, integers, lists and dicts with
 # plain-name keys (no floats, bools or nulls), whose values may also be
 # polynomials.  ``json_text`` writes it, and ``_json_tree`` gives the
-# dict that ``json.dumps`` would write the same.
+# dict that ``json.dumps`` would write the same.  zeps reads no JSON back.
 
 
 def _json_tree(fields: Mapping) -> dict:
@@ -716,18 +695,6 @@ class LaurentPoly:
             ]) + f"{fields}]"
         return f'{{{fields}"arity": {self.arity},{fields}"terms": {terms}{pad}}}'
 
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "LaurentPoly":
-        try:
-            arity = data["arity"]
-            terms = {
-                tuple(entry["exp"]): Fraction(read_int(entry["num"]), read_int(entry["den"]))
-                for entry in data["terms"]
-            }
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-            raise InputDomainError(f"malformed polynomial JSON: {exc}") from exc
-        return cls(arity, terms)
-
     def __repr__(self):
         return f"LaurentPoly({self.arity}, {self.to_text()})"
 
@@ -787,15 +754,6 @@ class RationalFn:
 
     def to_json_dict(self) -> dict:
         return _json_tree(self._json_fields())
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "RationalFn":
-        try:
-            num = LaurentPoly.from_json_dict(data["numerator"])
-            den = LaurentPoly.from_json_dict(data["denominator"])
-        except (KeyError, TypeError) as exc:
-            raise InputDomainError(f"malformed rational-function JSON: {exc}") from exc
-        return cls(num, den)
 
     __str__ = to_text
 

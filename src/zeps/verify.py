@@ -26,11 +26,11 @@ from .epsilon import _parity, _product_value, enumerate_indices
 from .sdomain import (
     TustinParams,
     _laplace_params,
+    _pair_ratio,
     _tustin_keys,
     factored_laplace,
     factored_laplace_value,
     laplace_determinant,
-    tustin_map,
 )
 from .ztransform import (
     MAX_DIM,
@@ -57,16 +57,6 @@ class CheckResult:
 def rel_close(a, b, tol: float) -> bool:
     """Relative closeness with an absolute floor of 1."""
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
-
-
-def random_z_point(rng: random.Random, dim: int, min_modulus: float = 0.2) -> tuple:
-    """Random complex point with every coordinate off the origin."""
-    point = []
-    while len(point) < dim:
-        z = complex(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
-        if abs(z) >= min_modulus:
-            point.append(z)
-    return tuple(point)
 
 
 def random_s_point(rng: random.Random, params: TustinParams, margin: float = 0.25) -> tuple:
@@ -196,14 +186,16 @@ def check_tustin_consistency(
     z-route is the form ``emit`` prints, which the oracle check holds
     equal to the Z-domain determinant and to brute force; the s-route
     divides the determinant's numerator by the pole factors,
-    prod_q (2 + T_q s_q)^dim.  Both routes evaluate with no rounding and
-    are compared for equality: any difference is a true algebraic
-    mismatch.  At each point the two values ``eval`` prints,
-    ``factored_value`` at the mapped z-point and
-    ``factored_laplace_value`` at the s-point, must equal them too; a
-    failing point gives one detail line with all four values.  (The
-    expanded higher-dimensional numerators cancel catastrophically
-    under floating point, which is why no float point is sampled.)
+    prod_q (2 + T_q s_q)^dim.  Each point's Tustin pair (u_q, v_q) is
+    taken once: it gives the z-point v_q / u_q and the factors v_q^dim.
+    Both routes evaluate with no rounding and are compared for
+    equality: any difference is a true algebraic mismatch.  At each
+    point the two values ``eval`` prints, ``factored_value`` at the
+    mapped z-point and ``factored_laplace_value`` at the s-point, must
+    equal them too; a failing point gives one detail line with all four
+    values.  (The expanded higher-dimensional numerators cancel
+    catastrophically under floating point, which is why no float point
+    is sampled.)
     """
     z_form = factored_ztransform(dim)
     params = _laplace_params(dim, params)
@@ -221,9 +213,11 @@ def check_tustin_consistency(
         )
     for _ in range(samples):
         s_point = random_rational_s_point(rng, params)
-        z_point = tuple(map(tustin_map, s_point, params.steps))
+        keys = _tustin_keys(params, s_point)
+        # the sampler never draws T_q s_q = 2, so no u_q is 0
+        z_point = tuple(_pair_ratio(v, u) for u, v in keys)
         via_z = z_form.evaluate(z_point)
-        poles = math.prod(v**dim for _, v in _tustin_keys(params, s_point))
+        poles = math.prod(v**dim for _, v in keys)
         via_s = s_form.scale * s_form.numerator.evaluate(s_point) / poles
         eval_z = factored_value(z_point)
         eval_s = factored_laplace_value(s_point, params)

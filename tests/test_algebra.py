@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from zeps.algebra import LaurentPoly, RationalFn, det, int_text, read_int
+from zeps.algebra import LaurentPoly, RationalFn, det, int_text
 from zeps.errors import (
     DegenerateDenominatorError,
     EvaluationPoleError,
@@ -308,12 +308,12 @@ class TestRationalFn:
 
 
 class TestSerialization:
-    def test_round_trip(self):
+    def test_round_trip(self, json_terms):
         rng = random.Random(11)
         for _ in range(25):
             p = random_poly(rng, 3)
             data = json.loads(json.dumps(p.to_json_dict()))
-            assert LaurentPoly.from_json_dict(data) == p
+            assert json_terms(data) == p.terms
 
     def test_deterministic_order(self):
         p = P(2, {(-2, -1): -1, (-1, -2): 1})
@@ -328,43 +328,19 @@ class TestSerialization:
         term = p.to_json_dict()["terms"][0]
         assert term["num"] == "-7" and term["den"] == "3"
 
-    def test_rational_fn_round_trip(self):
+    def test_rational_fn_round_trip(self, json_terms):
         z = LaurentPoly.variable(1, 1)
         f = RationalFn(z - 1, (z + 2) ** 2)
         data = json.loads(json.dumps(f.to_json_dict()))
-        assert RationalFn.from_json_dict(data) == f
+        assert json_terms(data["numerator"]) == f.num.terms
+        assert json_terms(data["denominator"]) == f.den.terms
 
-    def test_malformed_json_rejected(self):
-        with pytest.raises(InputDomainError):
-            LaurentPoly.from_json_dict({"arity": 1})
-        numerator = LaurentPoly.variable(1, 1).to_json_dict()
-        for data in ({"numerator": numerator}, [numerator]):
-            with pytest.raises(InputDomainError, match="malformed rational-function JSON"):
-                RationalFn.from_json_dict(data)
-
-    def test_read_int_inverts_int_text_past_the_digit_cap(self):
+    def test_int_text_matches_str_past_the_digit_cap(self):
         rng = random.Random(5)
         for digits in (1, 599, 600, 601, 4300, 4301, 12345):
             for sign in (1, -1):
                 n = sign * rng.randrange(10 ** (digits - 1), 10**digits)
-                assert read_int(int_text(n)) == n
-        assert read_int("0") == 0 and read_int("-0") == 0 and read_int("007") == 7
-
-    @pytest.mark.parametrize(
-        "text", ["", "-", "+1", " 1", "1 ", "1_000", "1e5", "0x10", "--1", "\u0661", "12a" * 300]
-    )
-    def test_non_digit_coefficient_rejected(self, text):
-        with pytest.raises(ValueError):
-            read_int(text)
-        data = {"arity": 1, "terms": [{"exp": [0], "num": text, "den": "1"}]}
-        with pytest.raises(InputDomainError):
-            LaurentPoly.from_json_dict(data)
-
-    def test_integer_coefficients_and_zero_denominator_rejected(self):
-        for num, den in ((1, "1"), ("1", "0")):
-            data = {"arity": 1, "terms": [{"exp": [0], "num": num, "den": den}]}
-            with pytest.raises(InputDomainError):
-                LaurentPoly.from_json_dict(data)
+                assert int_text(n) == uncapped(str, n)
 
     def test_text_rendering(self):
         p = P(2, {(-1, -2): 1, (-2, -1): -1})
@@ -432,14 +408,19 @@ def reference_latex(poly, varnames=None):
     return reference_render(poly, varnames, " ", "{}^{{{}}}", reference_latex_number)
 
 
-def dumped(document):
-    """``json.dumps(document.to_json_dict(), indent=2)``, with Python's digit cap lifted."""
+def uncapped(convert, *args, **kwargs):
+    """``convert(*args, **kwargs)`` with Python's int-to-str cap lifted, then restored."""
     cap = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return json.dumps(document.to_json_dict(), indent=2)
+        return convert(*args, **kwargs)
     finally:
         sys.set_int_max_str_digits(cap)
+
+
+def dumped(document):
+    """``json.dumps(document.to_json_dict(), indent=2)``, with Python's digit cap lifted."""
+    return uncapped(json.dumps, document.to_json_dict(), indent=2)
 
 
 def assert_same(written, expected):

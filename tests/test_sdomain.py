@@ -370,18 +370,15 @@ class TestPoleZeroReport:
 
 
 class TestLaplaceResultSurface:
-    def test_json_shape(self):
+    def test_json_shape(self, json_terms):
         params = TustinParams.uniform(2, Fraction(1, 2))
         result = laplace_determinant(2, params)
         data = json.loads(json.dumps(result.to_json_dict()))
         assert data["dim"] == 2
         assert data["T"] == [{"num": 1, "den": 2}, {"num": 1, "den": 2}]
         assert data["scale"] == {"num": 1, "den": 1}
-        rebuilt = RationalFn(
-            LaurentPoly.from_json_dict(data["numerator"]),
-            LaurentPoly.from_json_dict(data["denominator"]),
-        )
-        assert rebuilt == result.body
+        assert json_terms(data["numerator"]) == result.body.num.terms
+        assert json_terms(data["denominator"]) == result.body.den.terms
 
     def test_latex_uses_factored_denominator(self):
         latex = laplace_determinant(2).to_latex()

@@ -14,7 +14,6 @@ from zeps.verify import (
     check_tustin_consistency,
     random_rational_s_point,
     random_s_point,
-    random_z_point,
     rel_close,
 )
 
@@ -34,13 +33,6 @@ class TestRelClose:
 
 
 class TestSamplers:
-    def test_z_points_avoid_origin(self):
-        rng = random.Random(0)
-        for _ in range(200):
-            point = random_z_point(rng, 3, min_modulus=0.5)
-            assert len(point) == 3
-            assert all(abs(z) >= 0.5 for z in point)
-
     def test_s_points_keep_margin(self):
         rng = random.Random(0)
         params = TustinParams(2, (Fraction(1), Fraction(1, 2)))

@@ -9,7 +9,7 @@ import pytest
 from zeps.algebra import LaurentPoly
 from zeps.epsilon import _parity
 from zeps.errors import InputDomainError, UnsupportedDimensionError
-from zeps.verify import random_z_point, rel_close
+from zeps.verify import rel_close
 from zeps.ztransform import (
     TransformResult,
     brute_force_ztransform,
@@ -23,9 +23,28 @@ from zeps.ztransform import (
 TWO_D_BODY = LaurentPoly(2, {(-1, -2): 1, (-2, -1): -1})
 
 
+def random_z_point(rng: random.Random, dim: int, min_modulus: float = 0.2) -> tuple:
+    """Random complex point with every coordinate off the origin."""
+    point = []
+    while len(point) < dim:
+        z = complex(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
+        if abs(z) >= min_modulus:
+            point.append(z)
+    return tuple(point)
+
+
 def heaviside(n: int, n0: int) -> int:
     """Discrete unit step: 0 while n < n0, 1 from n0 on; the window reference."""
     return 0 if n < n0 else 1
+
+
+class TestZPointSampler:
+    def test_z_points_avoid_origin(self):
+        rng = random.Random(0)
+        for _ in range(200):
+            point = random_z_point(rng, 3, min_modulus=0.5)
+            assert len(point) == 3
+            assert all(abs(z) >= 0.5 for z in point)
 
 
 class TestHeaviside:
@@ -225,13 +244,13 @@ class TestTransformResultSurface:
         )
         assert determinant_ztransform(3).to_latex().startswith("\\frac{1}{2}")
 
-    def test_json_shape_and_round_trip(self):
+    def test_json_shape_and_round_trip(self, json_terms):
         result = determinant_ztransform(3)
         data = json.loads(json.dumps(result.to_json_dict()))
         assert data["dim"] == 3
         assert data["scale"] == {"num": 1, "den": 2}
         assert data["roc"] == ["z1 != 0", "z2 != 0", "z3 != 0"]
-        assert LaurentPoly.from_json_dict(data["body"]) == result.body
+        assert json_terms(data["body"]) == result.body.terms
 
     def test_repr_reads_as_the_dataclass_repr(self):
         result = determinant_ztransform(3)
