@@ -8,7 +8,8 @@ provides three independent routes to those values:
   is checked against;
 * ``epsilon_product`` evaluates the exact double-product closed form
   (a Vandermonde product over the indices divided by the same product
-  at the identity tuple) in integer arithmetic;
+  at the identity tuple) in integer arithmetic, stopping at the first
+  zero factor, so only distinct indices reach the division;
 * ``epsilon_generalized`` drives that ratio, factor by factor, through
   an arbitrary injective value table instead of the identity map.
 
@@ -79,21 +80,36 @@ def _closed_form_index(indices: Sequence[int], form: str) -> MultiIndex:
 
 
 def epsilon_product(indices: Sequence[int]) -> int:
-    """Closed-form symbol value: one integer Vandermonde product, one division.
+    """Closed-form symbol value: an integer Vandermonde product, divided exactly.
 
     The symbol is eps(n) = D(n) / D(1..N) with the difference product
     D(x) = prod_{i<j} (x_j - x_i).  The paper's double loop
     prod_{p=1}^{N-1} prod_{q=1}^{N-p} (n_{N+1-p} - n_q) / (N+1-p-q)
     is the same ratio reindexed by j = N+1-p, i = q.  Both products are
     integers and the division is exact; its quotient is always 0 or
-    +/-1 and equals ``sign_oracle``.
+    +/-1 and equals ``sign_oracle``.  A repeated index makes one factor
+    of D(n) zero, and the product stops there with 0; the division and
+    its remainder check run only on tuples of distinct indices.
     """
     return _product_value(_closed_form_index(indices, "product"))
 
 
 def _product_value(idx: MultiIndex) -> int:
-    """``epsilon_product`` on a tuple that ``_closed_form_index`` would return unchanged."""
-    value, remainder = divmod(difference_product(idx), _identity_product(len(idx)))
+    """``epsilon_product`` on a tuple that ``_closed_form_index`` would return unchanged.
+
+    Multiplies the factors x_j - x_i in ``differences`` order (by j, then
+    by i) and returns 0 at the first zero factor, since it zeroes the
+    product.  Only a tuple of distinct indices reaches the division by
+    D(1..N) and its remainder check.
+    """
+    product = 1
+    for j, x in enumerate(idx):
+        for earlier in idx[:j]:
+            factor = x - earlier
+            if not factor:
+                return 0
+            product *= factor
+    value, remainder = divmod(product, _identity_product(len(idx)))
     if remainder:
         raise IdentityViolationError(f"product form left remainder {remainder} at {idx}")
     return value

@@ -102,6 +102,9 @@ def check_epsilon_formulas(dim: int) -> CheckResult:
 
     Every tuple lies in the window by construction, so each goes straight
     to the two kernels that ``epsilon_product`` and ``sign_oracle`` wrap.
+    The product kernel stops at its first zero factor, so of the 46,656
+    dim-6 tuples only the 720 with distinct indices reach its division
+    and remainder check.
     """
     require_dim(dim, MAX_DIM)
     mismatches = [

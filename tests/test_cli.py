@@ -479,6 +479,15 @@ class TestPointBoundary:
         assert code == EXIT_EVALUATION and out == ""
         assert "evaluation error" in err
 
+    def test_zero_factor_times_overflow_is_evaluation_error(self, capsys):
+        # z1 = z2 zeroes one factor and 1/z3 = 1e320 overflows to inf; the
+        # complex product turns 0 * inf into nan, never into a rounded 0
+        code, out, err = run(
+            capsys, "eval", "--domain", "z", "--dim", "3", "--point=1+0j,1+0j,1e-320+0j"
+        )
+        assert code == EXIT_EVALUATION and out == ""
+        assert "evaluation error" in err
+
 
 class TestStepBoundary:
     def test_zero_denominator_step_on_emit_is_usage_error(self, capsys):

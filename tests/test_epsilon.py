@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from zeps.algebra import difference_product
 from zeps.epsilon import (
+    _identity_product,
+    _product_value,
     check_index,
     enumerate_indices,
     epsilon_generalized,
@@ -130,7 +133,7 @@ class TestEpsilonProduct:
             assert epsilon_product(idx) == sign_oracle(idx)
 
     def test_matches_oracle_on_all_six_dimensional_tuples(self):
-        # 6**6 = 46,656 tuples: one integer product and one division each
+        # 6**6 = 46,656 tuples; only the 720 with distinct indices reach the division
         for idx in enumerate_indices(6):
             assert epsilon_product(idx) == sign_oracle(idx)
 
@@ -141,6 +144,19 @@ class TestEpsilonProduct:
         monkeypatch.setattr("zeps.epsilon.check_index", tuple)
         with pytest.raises(IdentityViolationError):
             epsilon_product((1, Fraction(3, 2)))
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    def test_kernel_equals_the_full_product_quotient(self, dim):
+        # the kernel stops at its first zero factor; on every tuple it still
+        # gives the quotient of the whole difference product by D(1..N)
+        scale = _identity_product(dim)
+        for idx in enumerate_indices(dim):
+            assert divmod(difference_product(idx), scale) == (_product_value(idx), 0)
+
+    def test_kernel_checks_the_remainder_itself(self):
+        # no zero factor, so the half-integer product reaches the division
+        with pytest.raises(IdentityViolationError):
+            _product_value((1, Fraction(3, 2)))
 
 
 class TestEpsilonGeneralized:

@@ -7,6 +7,7 @@ at rational points, and the complex values ``eval`` prints must stay
 within ACCURACY of an exact Gaussian-rational reference.
 """
 
+import cmath
 import contextlib
 import functools
 import hashlib
@@ -259,6 +260,11 @@ class TestFactoredFunctions:
         assert vandermonde((1, 2, 3)) == 1 * 2 * 3 * (2 - 1) * (3 - 1) * (3 - 2)
         assert isinstance(vandermonde((1, Fraction(1, 2))), Fraction)
         assert isinstance(vandermonde((1, 2j)), complex)
+
+    def test_complex_zero_factor_times_infinity_is_not_finite(self):
+        # 0 * inf is nan in floating point: a repeated coordinate must not
+        # short-circuit the complex product to 0
+        assert not cmath.isfinite(vandermonde([1, 1, complex(math.inf)]))
 
     def test_z_pole(self):
         with pytest.raises(EvaluationPoleError):
