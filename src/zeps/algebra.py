@@ -8,16 +8,21 @@ when the evaluation point itself is inexact.
 
 A :class:`LaurentPoly` is a packed integer kernel: a map from packed
 monomials to integer numerators over one shared positive denominator.
-A monomial's key is its exponent vector read as the balanced digits of
-one integer, sum_i e_i * B^(i-1) with B = 2^bits and every digit in
-[-B/2, B/2), so a monomial product is one integer addition and negative
-exponents need no offset.  The digit width widens with the exponents,
-so any integer exponent packs without wrapping.  The denominator is kept
-coprime to the numerators, so equal polynomials carry identical maps.
+A monomial's key is one integer, deg * B^N + sum_i e_i * B^(N-i) with
+B = 2^bits: its total degree above its exponents, read as balanced
+digits in [-B/2, B/2), variable 1 the most significant.  Degree and
+digits both add, so a monomial product is one integer addition and
+negative exponents need no offset.  The digits span less than B^N, so
+integer order on keys is graded-lexicographic order on monomials.  The
+digit width widens with the exponents, so any integer exponent packs
+without wrapping.  The denominator is kept coprime to the numerators,
+so equal polynomials carry identical maps.
 
-The polynomial's own methods read only the packed map, and unpack its
-exponent columns once, on first need.  ``terms`` serves outside readers:
-a read-only map from exponent tuples to nonzero
+The polynomial's own methods read only the packed map.  Evaluation
+unpacks its exponent columns once, on first need; the writers sort the
+keys as integers and read each monomial's text from two tables, one per
+half of the key's digits, so no exponent tuple is built.  ``terms``
+serves outside readers: a read-only map from exponent tuples to nonzero
 :class:`fractions.Fraction` coefficients, built on first use.  The
 serialization order is graded-lexicographic, highest first.
 """
@@ -187,10 +192,12 @@ def _default_names(arity: int) -> tuple[str, ...]:
 
 
 # A monomial x_1^e_1 ... x_N^e_N is packed into the integer
-# sum_i e_i * 2**(bits*(i-1)): its exponents are the balanced base-2**bits
-# digits, each in [-2**(bits-1), 2**(bits-1)).  Multiplying two monomials
-# adds their keys.  The width starts at 16 bits and doubles as far as the
-# exponents a polynomial can reach require, so no exponent ever wraps.
+# deg * 2**(bits*N) + sum_i e_i * 2**(bits*(N-i)), deg = sum_i e_i: its
+# exponents are the balanced base-2**bits digits, each in
+# [-2**(bits-1), 2**(bits-1)), variable 1 the highest, and its degree sits
+# above them.  Multiplying two monomials adds their keys.  The width starts
+# at 16 bits and doubles as far as the exponents a polynomial can reach
+# require, so no exponent ever wraps.
 _MIN_BITS = 16
 
 
@@ -203,10 +210,22 @@ def _bits_for(reach: int) -> int:
 
 
 def _pack(exponents: Sequence[int], bits: int) -> int:
-    key = 0
-    for e in reversed(exponents):
+    """The key of x_1^e_1 ... x_N^e_N: its degree, then e_1 down to e_N.
+
+    The N digits span B**N - 1 at most (B = 2**bits), less than one unit
+    of degree, so keys compare by degree first and then digit by digit,
+    variable 1 first: integer order is graded-lexicographic order.
+    """
+    key = sum(exponents)
+    for e in exponents:
         key = (key << bits) + e
     return key
+
+
+def _digit_bias(bits: int, arity: int) -> int:
+    """Half a digit's range in each of the ``arity`` digits, degree 0: added to a
+    key, it makes every balanced digit an ordinary one in [0, 2**bits)."""
+    return ((1 << bits * arity) - 1) // ((1 << bits) - 1) << (bits - 1)
 
 
 def _reduce(terms: dict[int, int], den: int) -> tuple[dict[int, int], int]:
@@ -315,15 +334,17 @@ class LaurentPoly:
     side of ``+``, ``-``, ``*`` and ``==``.
 
     The value is ``(1/_den) * sum c * x**e`` over ``_terms``, a dict from
-    packed monomials (see ``_pack``, digit width ``_bits``) to nonzero
-    integers ``c``.  ``_den`` is positive and coprime to the ``c``s, so
-    equal polynomials have equal ``(_den, _terms)``.  ``_reach`` bounds
-    every ``|e_i|`` from above, so a product knows before it starts
-    whether its keys fit the width.  The methods here read only this map
-    and its exponent columns, unpacked once (``_unpacked``); the public
-    ``terms`` is a read-only map from exponent tuples to ``Fraction``s
-    for outside readers, built on first use.  Ring operations build
-    their results without revalidating them.
+    packed monomials (see ``_pack``, digit width ``_bits``; integer order
+    on keys is grlex) to nonzero integers ``c``.  ``_den`` is positive and
+    coprime to the ``c``s, so equal polynomials have equal ``(_den,
+    _terms)``.  ``_reach`` bounds every ``|e_i|`` from above, so a product
+    knows before it starts whether its keys fit the width.  The methods
+    here read only this map.  Evaluation and repacking read its exponent
+    columns, unpacked once (``_unpacked``); the writers walk the sorted
+    keys (``_walk``) and unpack nothing.  The public ``terms`` is a
+    read-only map from exponent tuples to ``Fraction``s for outside
+    readers, built on first use.  Ring operations build their results
+    without revalidating them.
     """
 
     __slots__ = ("arity", "_terms", "_den", "_bits", "_reach", "_view", "_columns")
@@ -400,19 +421,20 @@ class LaurentPoly:
         """The exponent tuples in the packed map's order, and per variable its
         lowest exponent, highest exponent and every exponent seen; built once.
 
-        Adding ``half`` to every digit makes each one an ordinary base-2**bits
+        Adding ``_digit_bias`` makes each digit an ordinary base-2**bits
         digit in [0, 2**bits), so all of them are read off with shifts and
-        masks.  A variable with no terms reads (0, 0, {}).
+        masks, variable 1 the highest; the degree above them is not read.
+        A variable with no terms reads (0, 0, {}).
         """
         if self._columns is None:
             bits, arity = self._bits, self.arity
             half = 1 << (bits - 1)
             mask = (1 << bits) - 1
-            bias = _pack([half] * arity, bits)
+            bias = _digit_bias(bits, arity)
             biased = [k + bias for k in self._terms]
             columns = [
                 [(t >> shift & mask) - half for t in biased]
-                for shift in range(0, bits * arity, bits)
+                for shift in range(bits * (arity - 1), -1, -bits)
             ]
             spans = [
                 (min(column), max(column), frozenset(column)) if column else (0, 0, frozenset())
@@ -600,27 +622,43 @@ class LaurentPoly:
 
     # -- rendering and serialization --------------------------------------
 
-    def _walk(self) -> Iterator[tuple[tuple[int, ...], int, int]]:
-        """Each term as ``(exponents, num, den)``, graded-lexicographic, highest first.
+    def _walk(
+        self, piece: Callable[[int, int], object], empty
+    ) -> Iterator[tuple[object, int, int]]:
+        """Each term as ``(monomial, num, den)``, graded-lexicographic, highest first.
 
+        Integer order on keys is grlex (``_pack``), so the walk sorts the
+        keys themselves.  ``monomial`` is ``empty`` followed by
+        ``piece(i, e_i)`` for each variable, i from 0: the text of the
+        biased key's high digits (variables 1..ceil(N/2)) joined to that
+        of its low digits, each half's text built once per distinct half.
         ``num/den`` is the coefficient in lowest terms, reduced against
         the shared denominator with one gcd; no ``Fraction`` is built.
         Every writer reads the terms through this walk.
         """
-        den = self._den
-        exponents = self._unpacked()[0]
-        ordered = sorted(zip(map(sum, exponents), exponents, self._terms.values()), reverse=True)
-        for _, key, c in ordered:
+        bits, arity, terms, den = self._bits, self.arity, self._terms, self._den
+        half, mask = 1 << (bits - 1), (1 << bits) - 1
+        split = arity - arity // 2  # variables 1..split are the high half
+        low = (1 << bits * (arity - split)) - 1
+        high = (1 << bits * arity) - 1 ^ low
+        keys, bias = sorted(terms, reverse=True), _digit_bias(bits, arity)
+        biased = [k + bias for k in keys]
+
+        def texts(halves: set[int], variables: range) -> dict:
+            table = {}
+            for digits in halves:
+                text = empty
+                for i in variables:
+                    text += piece(i, (digits >> bits * (arity - 1 - i) & mask) - half)
+                table[digits] = text
+            return table
+
+        highs = texts({b & high for b in biased}, range(split))
+        lows = texts({b & low for b in biased}, range(split, arity))
+        for k, b in zip(keys, biased):
+            c = terms[k]
             common = math.gcd(c, den)
-            yield key, c // common, den // common
-
-    def _powers(self, power: Callable[[int, int], str]) -> list[dict[int, str]]:
-        """Per variable i, ``power(i, e)`` for each exponent e it takes, built once.
-
-        A term's monomial text is its exponents' entries joined in
-        variable order: ``"".join(map(dict.__getitem__, tables, exponents))``.
-        """
-        return [{e: power(i, e) for e in seen} for i, (_, _, seen) in enumerate(self._unpacked()[1])]
+            yield highs[b & high] + lows[b & low], c // common, den // common
 
     def to_text(self, varnames: Sequence[str] | None = None) -> str:
         """Deterministic plain-text form, e.g. ``z1^-1*z2^-2 - z1^-2*z2^-1``."""
@@ -641,10 +679,8 @@ class LaurentPoly:
                 return ""
             return join + (names[i] if e == 1 else power_fmt.format(names[i], e))
 
-        tables = self._powers(power)
         pieces: list[str] = []
-        for exponents, num, den in self._walk():
-            monomial = "".join(map(dict.__getitem__, tables, exponents))
+        for monomial, num, den in self._walk(power, ""):
             magnitude = abs(num)
             if den != 1:
                 shown = fraction_fmt.format(int_text(magnitude), int_text(den))
@@ -667,7 +703,7 @@ class LaurentPoly:
             "arity": self.arity,
             "terms": [
                 {"exp": list(exponents), "num": int_text(num), "den": int_text(den)}
-                for exponents, num, den in self._walk()
+                for exponents, num, den in self._walk(lambda i, e: (e,), ())
             ],
         }
 
@@ -680,18 +716,20 @@ class LaurentPoly:
         """
         pad = "\n" + "  " * level
         fields, entries, term_fields, exp_items = (pad + "  " * n for n in (1, 2, 3, 4))
+
+        def exp(i: int, e: int) -> str:
+            return f"{',' if i else ''}{exp_items}{e}"
+
         if self.is_zero:
             terms = "[]"
         else:
-            tables = self._powers(lambda i, e: f"{',' if i else ''}{exp_items}{e}")
             head = f'{entries}{{{term_fields}"exp": ['
             num_open = f'{term_fields}],{term_fields}"num": "'
             den_open = f'",{term_fields}"den": "'
             close = f'"{entries}}}'
             terms = "[" + ",".join([
-                f'{head}{"".join(map(dict.__getitem__, tables, exponents))}'
-                f"{num_open}{int_text(num)}{den_open}{int_text(den)}{close}"
-                for exponents, num, den in self._walk()
+                f"{head}{exps}{num_open}{int_text(num)}{den_open}{int_text(den)}{close}"
+                for exps, num, den in self._walk(exp, "")
             ]) + f"{fields}]"
         return f'{{{fields}"arity": {self.arity},{fields}"terms": {terms}{pad}}}'
 

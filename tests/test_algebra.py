@@ -361,12 +361,21 @@ class TestSerialization:
 # replaced: terms sorted through ``Fraction`` coefficients, one factor
 # list per term.  ``to_text``/``to_latex`` must match it byte for byte,
 # and ``to_json`` must match ``json.dumps(to_json_dict(), indent=2)``.
+# ``reference_json_terms`` gives the JSON terms from ``terms``, which
+# unpacks the keys, so the writers' walk is held to a route of its own.
 
 PAST_CAP = 10**4400  # past Python's 4,300-digit int-to-str cap
 
 
 def reference_sorted_terms(poly):
     return sorted(poly.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+
+
+def reference_json_terms(poly):
+    return [
+        {"exp": list(e), "num": int_text(coeff.numerator), "den": int_text(coeff.denominator)}
+        for e, coeff in reference_sorted_terms(poly)
+    ]
 
 
 def reference_rational_text(value):
@@ -435,21 +444,34 @@ def assert_same(written, expected):
         pytest.fail(f"first difference at {at}: {written[window]!r} vs {expected[window]!r}")
 
 
+# Exponents at the balanced bounds of the 16-, 32- and 64-bit digit
+# widths, and just past them, where the width doubles
+PACKING_EDGES = (2**15 - 1, -(2**15), 2**31 - 1, -(2**31), 2**63)
+
+
 @st.composite
 def wide_polys(draw, arity=None):
-    """Arity 1-6, exponents from small to 40-bit, integer or rational
-    coefficients over one shared denominator, some past the digit cap."""
+    """Arity 1-8, exponents from small to 40-bit and at the packing edges,
+    terms that share a degree, integer or rational coefficients over one
+    shared denominator, some past the digit cap."""
     if arity is None:
-        arity = draw(st.integers(1, 6))
-    exponent = st.integers(-4, 4) | st.integers(-(2**40), 2**40)
+        arity = draw(st.integers(1, 8))
+    exponent = st.integers(-4, 4) | st.integers(-(2**40), 2**40) | st.sampled_from(PACKING_EDGES)
     numerator = st.integers(-30, 30)
     dens = (1, 2, 12)
     if draw(st.booleans()):  # long coefficients: slow to print, so not in every example
         numerator = numerator | numerator.map(lambda n: n * PAST_CAP + 7)
         dens += (3**9100,)
     den = draw(st.sampled_from(dens))
-    terms = draw(st.dictionaries(st.tuples(*[exponent] * arity), numerator, max_size=6))
-    return LaurentPoly(arity, {e: Fraction(c, den) for e, c in terms.items()})
+    exponents = draw(st.lists(st.tuples(*[exponent] * arity), max_size=6))
+    # terms of one degree: term k with e moved from variable i to the next
+    moves = st.tuples(st.integers(0, 5), st.integers(0, arity - 1), exponent)
+    for k, i, e in draw(st.lists(moves, max_size=4)) if exponents else ():
+        moved = list(exponents[k % len(exponents)])
+        moved[i] -= e
+        moved[(i + 1) % arity] += e
+        exponents.append(tuple(moved))
+    return LaurentPoly(arity, {e: Fraction(draw(numerator), den) for e in exponents})
 
 
 @st.composite
@@ -496,6 +518,26 @@ class TestWriters:
     @given(wide_polys())
     def test_json_matches_json_dumps(self, poly):
         assert_same(poly.to_json(), dumped(poly))
+
+    @given(wide_polys())
+    def test_json_terms_match_the_reference(self, poly):
+        # the reference sorts ``terms``, which unpacks the keys, not the walk
+        assert poly.to_json_dict()["terms"] == reference_json_terms(poly)
+
+    @pytest.mark.parametrize("edge", PACKING_EDGES)
+    @pytest.mark.parametrize("arity", range(1, 9))
+    def test_writers_at_the_packing_edges(self, arity, edge):
+        # the edge at each variable beside -1s: one degree, ordered digit by
+        # digit; -edge beside -2s; and the all -1 term, degree -arity
+        terms = {(-1,) * arity: -1}
+        for q in range(arity):
+            terms[(-1,) * q + (edge,) + (-1,) * (arity - q - 1)] = q + 1
+            terms[(-2,) * q + (-edge,) + (-2,) * (arity - q - 1)] = Fraction(1, q + 2)
+        poly = P(arity, terms)
+        assert_same(poly.to_text(), reference_text(poly))
+        assert_same(poly.to_latex(), reference_latex(poly))
+        assert_same(poly.to_json(), dumped(poly))
+        assert poly.to_json_dict()["terms"] == reference_json_terms(poly)
 
     @given(result_documents())
     def test_result_json_matches_json_dumps(self, result):

@@ -108,3 +108,19 @@ def test_s_latex_never_expands_the_pole_product(command, code, digest, monkeypat
 
     monkeypatch.setattr("zeps.sdomain._denominator_product", refuse)
     test_stdout_matches_golden_digest(command, code, digest)
+
+
+EMIT = [row for row in GOLDEN if row[0].startswith("emit")]
+
+
+@pytest.mark.parametrize(
+    "command,code,digest", EMIT, ids=[row[0].replace(NINES, "<4300 nines>") for row in EMIT]
+)
+def test_emit_unpacks_no_exponent_tuple(command, code, digest, monkeypatch):
+    # the writers read each monomial's text off its packed key, so only
+    # evaluation, ``terms`` and repacking unpack the exponent columns
+    def refuse(self):
+        raise AssertionError("exponent columns unpacked")
+
+    monkeypatch.setattr("zeps.algebra.LaurentPoly._unpacked", refuse)
+    test_stdout_matches_golden_digest(command, code, digest)
