@@ -527,15 +527,7 @@ class LaurentPoly:
             raise InputDomainError(
                 f"polynomial powers must be non-negative integers, got {exponent!r}"
             )
-        result = _constant(self.arity, 1)
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return math.prod([self] * exponent, start=_constant(self.arity, 1))
 
     def __eq__(self, other):
         if isinstance(other, LaurentPoly):
@@ -633,7 +625,8 @@ class LaurentPoly:
         biased key's high digits (variables 1..ceil(N/2)) joined to that
         of its low digits, each half's text built once per distinct half.
         ``num/den`` is the coefficient in lowest terms, reduced against
-        the shared denominator with one gcd; no ``Fraction`` is built.
+        the shared denominator with one gcd, or with none when that
+        denominator is 1; no ``Fraction`` is built.
         Every writer reads the terms through this walk.
         """
         bits, arity, terms, den = self._bits, self.arity, self._terms, self._den
@@ -657,7 +650,7 @@ class LaurentPoly:
         lows = texts({b & low for b in biased}, range(split, arity))
         for k, b in zip(keys, biased):
             c = terms[k]
-            common = math.gcd(c, den)
+            common = math.gcd(c, den) if den != 1 else 1
             yield highs[b & high] + lows[b & low], c // common, den // common
 
     def to_text(self, varnames: Sequence[str] | None = None) -> str:

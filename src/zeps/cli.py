@@ -14,7 +14,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .algebra import json_text, quoted, rational_text, read_rational
+from .algebra import quoted, rational_text, read_rational
 from .errors import InputDomainError, ZepsError
 from .sdomain import (
     MAX_LAPLACE_DIM,
@@ -93,11 +93,7 @@ def _parse_point(text: str, dim: int) -> tuple:
 def cmd_emit(args) -> tuple[int, str]:
     high, build, _ = DOMAINS[args.domain]
     result = build(args.dim, _window_then_steps(args, high))
-    if args.format == "json":
-        return EXIT_OK, result.to_json()
-    if args.format == "latex":
-        return EXIT_OK, result.to_latex()
-    return EXIT_OK, result.to_text()
+    return EXIT_OK, getattr(result, f"to_{args.format}")()
 
 
 def cmd_eval(args) -> tuple[int, str]:
@@ -137,10 +133,7 @@ def cmd_report(args) -> tuple[int, str]:
             f"pole/zero report is implemented for dim 2 only; for dims 3 to {MAX_DIM} use "
             "`verify` (sampling-based consistency checks) instead"
         )
-    report = pole_zero_report_2d(params)
-    if args.format == "text":
-        return EXIT_OK, report.to_text()
-    return EXIT_OK, json_text(report.to_json_dict())
+    return EXIT_OK, getattr(pole_zero_report_2d(params), f"to_{args.format}")()
 
 
 @functools.cache

@@ -36,6 +36,7 @@ from .algebra import (
     det,
     exact_repr,
     json_number,
+    json_text,
     quoted,
     rational_text,
     read_rational,
@@ -373,6 +374,10 @@ class PoleZeroReport:
             "intra_zeros": sites(self.intra_zeros),
             "inter_zeros": list(self.inter_zeros),
         }
+
+    def to_json(self) -> str:
+        """``json.dumps(self.to_json_dict(), indent=2)``, byte for byte."""
+        return json_text(self.to_json_dict())
 
 
 def pole_zero_report_2d(params: TustinParams) -> PoleZeroReport:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -52,6 +53,24 @@ class CheckResult:
     name: str
     passed: bool
     details: tuple[str, ...] = field(default_factory=tuple)
+
+
+def _result(name: str, details: list[str]) -> CheckResult:
+    """A check's verdict: it passes with no detail lines, and keeps the first 20."""
+    return CheckResult(name, not details, tuple(details[:20]))
+
+
+def _mismatches(routes: Sequence[tuple[str, LaurentPoly]]) -> list[str]:
+    """One line for each neighbouring pair of ``(name, polynomial)`` routes that differ.
+
+    Two expanded forms agree term for term, or else the line counts the
+    monomials of their difference.
+    """
+    return [
+        f"{name_a} differs from {name_b} in {len((form_a - form_b).terms)} monomials"
+        for (name_a, form_a), (name_b, form_b) in zip(routes, routes[1:])
+        if form_a != form_b
+    ]
 
 
 def rel_close(a, b, tol: float) -> bool:
@@ -108,15 +127,12 @@ def check_epsilon_formulas(dim: int) -> CheckResult:
     """
     require_dim(dim, MAX_DIM)
     mismatches = [
-        idx
+        f"mismatch at {idx}"
         for idx in enumerate_indices(dim)
         if _product_value(idx) != _parity(idx)
     ]
-    details = tuple(f"mismatch at {idx}" for idx in mismatches[:20])
-    return CheckResult(
-        name=f"product closed form vs permutation parity, all {dim}**{dim} tuples",
-        passed=not mismatches,
-        details=details,
+    return _result(
+        f"product closed form vs permutation parity, all {dim}**{dim} tuples", mismatches
     )
 
 
@@ -131,15 +147,9 @@ def check_determinant_oracle(dim: int) -> CheckResult:
         ("determinant", determinant_ztransform(dim).expanded()),
         ("brute force", brute_force_ztransform(dim).expanded()),
     )
-    details = tuple(
-        f"{name_a} and {name_b} differ in {len((form_a - form_b).terms)} monomials"
-        for (name_a, form_a), (name_b, form_b) in zip(routes, routes[1:])
-        if form_a != form_b
-    )
-    return CheckResult(
-        name=f"factored closed form vs determinant vs brute-force transform, dim={dim}",
-        passed=not details,
-        details=details,
+    return _result(
+        f"factored closed form vs determinant vs brute-force transform, dim={dim}",
+        _mismatches(routes),
     )
 
 
@@ -159,16 +169,6 @@ def _binomial_pole_product(params: TustinParams) -> LaurentPoly:
         for q, step in enumerate(params.steps)
     ]
     return math.prod(rows)
-
-
-def _pole_product_mismatch(params: TustinParams) -> int:
-    """Monomials in which the expanded pole product and its binomial oracle differ.
-
-    The expansion is looked up on ``sdomain``, so it is the one ``emit``
-    writes; both sides are freed when this returns.
-    """
-    expansion, oracle = sdomain._denominator_product(params), _binomial_pole_product(params)
-    return 0 if expansion == oracle else len((expansion - oracle).terms)
 
 
 def check_tustin_consistency(
@@ -202,18 +202,19 @@ def check_tustin_consistency(
     """
     z_form = factored_ztransform(dim)
     params = _laplace_params(dim, params)
-    # compared before the Laplace forms are built, so less is live beside its two expansions
-    pole_mismatch = _pole_product_mismatch(params)
+    # compared before the Laplace forms are built, so less is live beside its two
+    # expansions; the expansion is looked up on ``sdomain``, the one ``emit`` writes
+    pole_mismatch = _mismatches((
+        ("pole product", sdomain._denominator_product(params)),
+        ("its binomial expansion", _binomial_pole_product(params)),
+    ))
     s_form = laplace_determinant(dim, params)
     factored = factored_laplace(dim, params)
     rng = random.Random(seed)
     failures = []
     if factored != s_form:
         failures.append("factored Laplace form differs from the Laplace determinant")
-    if pole_mismatch:
-        failures.append(
-            f"pole product differs from its binomial expansion in {pole_mismatch} monomials"
-        )
+    failures += pole_mismatch
     for _ in range(samples):
         s_point = random_rational_s_point(rng, params)
         keys = _tustin_keys(params, s_point)
@@ -230,12 +231,9 @@ def check_tustin_consistency(
                 f"vs s-route {rational_text(via_s)}; eval's z-route "
                 f"{rational_text(eval_z)}, s-route {rational_text(eval_s)}"
             )
-    return CheckResult(
-        name=(
-            f"factored Laplace form vs Laplace determinant term for term, and "
-            f"bilinear substitution consistency, dim={dim}, "
-            f"{samples} seeded rational points, exact"
-        ),
-        passed=not failures,
-        details=tuple(failures[:20]),
+    return _result(
+        f"factored Laplace form vs Laplace determinant term for term, and "
+        f"bilinear substitution consistency, dim={dim}, "
+        f"{samples} seeded rational points, exact",
+        failures,
     )

@@ -14,7 +14,7 @@ from zeps.errors import (
     EvaluationPoleError,
     InputDomainError,
 )
-from zeps.sdomain import LaplaceResult, TustinParams, factored_laplace
+from zeps.sdomain import LaplaceResult, TustinParams, factored_laplace, pole_zero_report_2d
 from zeps.ztransform import TransformResult, factored_ztransform
 
 
@@ -492,20 +492,27 @@ def result_documents(draw):
     return LaplaceResult(dim, scale, draw(wide_polys(dim)), params)
 
 
-# Exact numbers of 5,001 digits where a document holds plain integers:
-# the z result's scale, and the Laplace result's steps
+# Exact numbers past the cap where a document holds plain integers: the
+# z result's scale and the Laplace result's steps at 5,001 digits, and the
+# pole/zero report's pole -2/T at 4,301 digits (T = 1/<4,300 nines>),
+# beside the report at T = 1/2
 PAST_CAP_STEP = Fraction(1, 10**5000)
 PAST_CAP_RESULTS = (
     TransformResult(2, PAST_CAP_STEP, factored_ztransform(2).body),
     factored_laplace(2, TustinParams(2, (PAST_CAP_STEP,) * 2)),
+    pole_zero_report_2d(TustinParams.uniform(2, "1/2")),
+    pole_zero_report_2d(TustinParams.uniform(2, Fraction(1, 10**4300 - 1))),
 )
 
 
 def check_result_writers(result):
-    """``to_json`` is ``json.dumps`` of the tree; ``to_text`` leads with the scale."""
+    """``to_json`` is ``json.dumps`` of the tree; a result's ``to_text`` leads with its scale.
+
+    A pole/zero report has no scale.
+    """
     assert_same(result.to_json(), dumped(result))
-    text = result.to_text()
-    assert result.scale == 1 or text.startswith(f"{reference_rational_text(result.scale)} * (")
+    scale = getattr(result, "scale", 1)
+    assert scale == 1 or result.to_text().startswith(f"{reference_rational_text(scale)} * (")
 
 
 class TestWriters:
@@ -547,7 +554,9 @@ class TestWriters:
     # explicit example before running it, its printer writes a dataclass
     # field by field rather than through the class's repr, and Fraction's
     # repr refuses past the cap.
-    @pytest.mark.parametrize("result", PAST_CAP_RESULTS, ids=("z-scale", "s-steps"))
+    @pytest.mark.parametrize(
+        "result", PAST_CAP_RESULTS, ids=("z-scale", "s-steps", "report", "report-4300-digit-T")
+    )
     def test_result_numbers_past_the_cap(self, result):
         check_result_writers(result)
 

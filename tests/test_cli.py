@@ -286,7 +286,7 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--dim", "4", "--samples", "2")
         assert code == EXIT_VERIFY_FAILED
         assert out.splitlines()[1].startswith("FAIL: factored closed form")
-        assert "factored and determinant differ in 24 monomials" in err
+        assert "factored differs from determinant in 24 monomials" in err
 
     def test_wrong_power_of_4_in_factored_s_form_fails(self, capsys, monkeypatch):
         def off_by_a_power(dim, params=None):

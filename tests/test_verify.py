@@ -112,6 +112,30 @@ class TestChecks:
             assert line.startswith(f"at s=({', '.join(map(str, point))}): z-route ")
             assert "Fraction(" not in line
 
+    @pytest.mark.parametrize("check", ["epsilon", "tustin"])
+    def test_a_failing_check_keeps_its_first_20_detail_lines(self, monkeypatch, check):
+        # every permutation's sign flipped gives 24 mismatches; a skewed
+        # determinant gives one line for the forms and one per point, 26
+        if check == "epsilon":
+            monkeypatch.setattr("zeps.verify._product_value", lambda idx: -_parity(idx))
+            result = check_epsilon_formulas(4)
+            flipped = [idx for idx in itertools.product(range(1, 5), repeat=4) if _parity(idx)]
+            expected = tuple(f"mismatch at {idx}" for idx in flipped[:20])
+        else:
+            build = laplace_determinant
+
+            def skewed(dim, params=None):
+                result = build(dim, params)
+                return replace(result, scale=2 * result.scale)
+
+            monkeypatch.setattr("zeps.verify.laplace_determinant", skewed)
+            result = check_tustin_consistency(3, samples=25, seed=1)
+            expected = ("factored Laplace form differs from the Laplace determinant",)
+            expected += tuple(line for line in result.details if line.startswith("at s="))
+        assert not result.passed
+        assert len(result.details) == 20
+        assert result.details == expected
+
 
 class TestEpsilonSweep:
     @pytest.mark.parametrize("dim", [3, 4])
