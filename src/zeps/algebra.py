@@ -49,16 +49,6 @@ EXACT_SCALARS = (int, Fraction)
 MAX_DET_SIDE = 8
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise InputDomainError(
-        f"coefficients must be integers or Fractions, got {type(value).__name__}"
-    )
-
-
 # Below the smallest digit cap Python allows on int-to-str conversion (640).
 _SHORT_INT = 10**600
 
@@ -352,7 +342,7 @@ class LaurentPoly:
     def __init__(self, arity: int, terms: Mapping[Sequence[int], object] | None = None):
         if not isinstance(arity, int) or arity < 1:
             raise InputDomainError(f"arity must be a positive integer, got {arity!r}")
-        exact: dict[tuple[int, ...], Fraction] = {}
+        exact: dict[tuple[int, ...], int | Fraction] = {}
         for exponents, coeff in (terms or {}).items():
             key = tuple(exponents)
             if len(key) != arity:
@@ -361,30 +351,25 @@ class LaurentPoly:
                 )
             if not all(isinstance(e, int) for e in key):
                 raise InputDomainError(f"exponents must be integers: {key}")
-            value = _as_fraction(coeff)
-            if value:
-                exact[key] = value
-        den = math.lcm(*(value.denominator for value in exact.values()))
+            if not isinstance(coeff, EXACT_SCALARS):
+                raise InputDomainError(
+                    f"coefficients must be integers or Fractions, got {type(coeff).__name__}"
+                )
+            if coeff:
+                exact[key] = coeff
+        den = math.lcm(*(coeff.denominator for coeff in exact.values()))
         reach = max((abs(e) for key in exact for e in key), default=0)
         bits = _bits_for(reach)
         packed = {
-            _pack(key, bits): value.numerator * (den // value.denominator)
-            for key, value in exact.items()
+            _pack(key, bits): coeff.numerator * (den // coeff.denominator)
+            for key, coeff in exact.items()
         }
         _fill(self, arity, packed, den, bits, reach)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly instances are immutable")
 
-    # -- constructors ----------------------------------------------------
-
-    @classmethod
-    def zero(cls, arity: int) -> "LaurentPoly":
-        return cls(arity, {})
-
-    @classmethod
-    def constant(cls, arity: int, value) -> "LaurentPoly":
-        return cls(arity, {(0,) * arity: value})
+    # -- named builder ---------------------------------------------------
 
     @classmethod
     def variable(cls, arity: int, var: int, power: int = 1) -> "LaurentPoly":
@@ -394,10 +379,6 @@ class LaurentPoly:
         exponents = [0] * arity
         exponents[var - 1] = power
         return cls(arity, {tuple(exponents): 1})
-
-    @classmethod
-    def monomial(cls, arity: int, exponents: Sequence[int], coeff=1) -> "LaurentPoly":
-        return cls(arity, {tuple(exponents): coeff})
 
     # -- structure -------------------------------------------------------
 
@@ -530,12 +511,10 @@ class LaurentPoly:
         return math.prod([self] * exponent, start=_constant(self.arity, 1))
 
     def __eq__(self, other):
-        if isinstance(other, LaurentPoly):
-            if other.arity != self.arity:
-                return False
-        elif isinstance(other, EXACT_SCALARS):
-            other = _constant(self.arity, other)
-        else:
+        if isinstance(other, LaurentPoly) and other.arity != self.arity:
+            return False
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
         if self._den != other._den or len(self._terms) != len(other._terms):
             return False

@@ -105,27 +105,28 @@ def tustin_map(s, T):
     complex T*s past the float range maps to the limit -1.  The map is
     singular where u = 2 - T*s vanishes, at s = 2/T.
     """
-    params = TustinParams(1, (T,))
-    ((u, v),) = _tustin_keys(params, (s,))
+    step = _as_step(T)
+    ((u, v),) = _tustin_keys((step,), (s,))
     if u == 0:
         raise MapSingularityError(
-            f"bilinear map is singular at s = 2/T = {rational_text(2 / params.steps[0])}"
+            f"bilinear map is singular at s = 2/T = {rational_text(2 / step)}"
         )
     return _pair_ratio(v, u)
 
 
-def _tustin_keys(params: TustinParams, xs: Sequence | None = None) -> list[tuple]:
-    """Tustin's pair (u_q, v_q) = (2 - T_q s_q, 2 + T_q s_q) for q = 1..dim.
+def _tustin_keys(steps: Sequence[Fraction], xs: Sequence | None = None) -> list[tuple]:
+    """Tustin's pair (u_q, v_q) = (2 - T_q s_q, 2 + T_q s_q) for q = 1..len(steps).
 
-    With no ``xs`` the pair is polynomial in s_1..s_dim: the moment keys
-    and pole factors.  Given a point ``xs`` it is the pair's values
-    there: an exact coordinate stays exact, any other becomes ``complex``.
+    With no ``xs`` the pair is polynomial in s_1..s_N, N = len(steps): the
+    moment keys and pole factors.  Given a point ``xs`` it is the pair's
+    values there: an exact coordinate stays exact, any other becomes
+    ``complex``.
     """
     if xs is None:
-        xs = [LaurentPoly.variable(params.dim, q) for q in range(1, params.dim + 1)]
+        xs = [LaurentPoly.variable(len(steps), q) for q in range(1, len(steps) + 1)]
     else:
         xs = [x if isinstance(x, EXACT_SCALARS) else complex(x) for x in xs]
-    return [(2 - step * x, 2 + step * x) for step, x in zip(params.steps, xs)]
+    return [(2 - step * x, 2 + step * x) for step, x in zip(steps, xs)]
 
 
 def _pair_ratio(top, bottom):
@@ -147,7 +148,7 @@ def _denominator_product(params: TustinParams) -> LaurentPoly:
     ``body``; nothing shares it between results.  At dim 5 it has 7,776
     terms.
     """
-    return math.prod(v**params.dim for _, v in _tustin_keys(params))
+    return math.prod(v**params.dim for _, v in _tustin_keys(params.steps))
 
 
 def r_sum(dim: int, p: int, q: int, params: TustinParams) -> RationalFn:
@@ -160,7 +161,7 @@ def r_sum(dim: int, p: int, q: int, params: TustinParams) -> RationalFn:
     """
     params = _laplace_params(dim, params)
     require_moment(dim, p, q)
-    key = _tustin_keys(params)[q - 1]
+    key = _tustin_keys(params.steps)[q - 1]
     return RationalFn(moment_matrix(dim, [key])[p][0], key[1] ** dim)
 
 
@@ -191,7 +192,7 @@ class LaplaceResult(ScaledForm):
         numerator = self.numerator.to_latex(names)
         denominator = " ".join(
             f"\\left({v.to_latex(names)}\\right)^{{{self.dim}}}"
-            for _, v in _tustin_keys(self.params)
+            for _, v in _tustin_keys(self.params.steps)
         )
         return self._scaled(LATEX_FRACTION.format(numerator, denominator), "{} \\, {}")
 
@@ -231,7 +232,7 @@ def laplace_determinant(dim: int, params: TustinParams | None = None) -> Laplace
     the pole product.
     """
     params = _laplace_params(dim, params)
-    numerators = moment_matrix(dim, _tustin_keys(params))
+    numerators = moment_matrix(dim, _tustin_keys(params.steps))
     return LaplaceResult(dim, Fraction(1, scale_constant(dim)), det(numerators), params)
 
 
@@ -245,7 +246,7 @@ def factored_laplace(dim: int, params: TustinParams | None = None) -> LaplaceRes
     numerator, same pole product.
     """
     params = _laplace_params(dim, params)
-    numerator = factored_moment_det(dim, _tustin_keys(params))
+    numerator = factored_moment_det(dim, _tustin_keys(params.steps))
     return LaplaceResult(dim, Fraction(1, scale_constant(dim)), numerator, params)
 
 
@@ -257,7 +258,7 @@ def _bilinear_images(coords: Sequence, params: TustinParams) -> list:
     :class:`EvaluationPoleError`.
     """
     images = []
-    for q, (u, v) in enumerate(_tustin_keys(params, coords), start=1):
+    for q, (u, v) in enumerate(_tustin_keys(params.steps, coords), start=1):
         if v == 0:
             raise EvaluationPoleError(f"point sits on the pole hyperplane T_{q} s_{q} = -2")
         images.append(_pair_ratio(u, v))

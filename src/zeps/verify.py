@@ -78,8 +78,12 @@ def rel_close(a, b, tol: float) -> bool:
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 
-def random_s_point(rng: random.Random, params: TustinParams, margin: float = 0.25) -> tuple:
-    """Random complex point keeping |T_q s_q -+ 2| clear of zero.
+# How far each random complex T_q s_q stays from the singular values -+2.
+_S_MARGIN = 0.25
+
+
+def random_s_point(rng: random.Random, params: TustinParams) -> tuple:
+    """Random complex point keeping |T_q s_q -+ 2| at least ``_S_MARGIN``.
 
     Staying away from T_q s_q = -2 avoids the transform's poles;
     staying away from T_q s_q = +2 keeps the bilinear map itself
@@ -90,7 +94,7 @@ def random_s_point(rng: random.Random, params: TustinParams, margin: float = 0.2
         t = float(params.steps[q])
         while True:
             s = complex(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
-            if abs(t * s - 2) >= margin and abs(t * s + 2) >= margin:
+            if abs(t * s - 2) >= _S_MARGIN and abs(t * s + 2) >= _S_MARGIN:
                 point.append(s)
                 break
     return tuple(point)
@@ -217,7 +221,7 @@ def check_tustin_consistency(
     failures += pole_mismatch
     for _ in range(samples):
         s_point = random_rational_s_point(rng, params)
-        keys = _tustin_keys(params, s_point)
+        keys = _tustin_keys(params.steps, s_point)
         # the sampler never draws T_q s_q = 2, so no u_q is 0
         z_point = tuple(_pair_ratio(v, u) for u, v in keys)
         via_z = z_form.evaluate(z_point)

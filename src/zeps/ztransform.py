@@ -164,7 +164,7 @@ def brute_force_ztransform(dim: int) -> TransformResult:
     for idx in enumerate_indices(dim):
         sign = _parity(idx)
         if sign:
-            terms[tuple(-n for n in idx)] = Fraction(sign)
+            terms[tuple(-n for n in idx)] = sign
     return TransformResult(dim, Fraction(1), LaurentPoly(dim, terms))
 
 

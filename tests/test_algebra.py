@@ -73,8 +73,10 @@ class TestConstruction:
                 LaurentPoly.variable(2, var)
 
     def test_float_coefficients_rejected(self):
-        with pytest.raises(InputDomainError):
-            P(1, {(1,): 0.5})
+        for coeff, name in [(0.5, "float"), (1j, "complex"), ("1", "str")]:
+            message = f"^coefficients must be integers or Fractions, got {name}$"
+            with pytest.raises(InputDomainError, match=message):
+                P(1, {(1,): coeff})
 
     def test_immutable(self):
         p = P(1, {(1,): 1})
@@ -231,8 +233,8 @@ class TestDeterminant:
         assert det(matrix) == P(2, {(-1, -2): 1, (-2, -1): -1})
 
     def test_identity_matrix(self):
-        one = LaurentPoly.constant(1, 1)
-        zero = LaurentPoly.zero(1)
+        one = LaurentPoly(1, {(0,): 1})
+        zero = LaurentPoly(1)
         assert det([[one, zero], [zero, one]]) == one
 
     @pytest.mark.parametrize("side", [2, 3])
@@ -246,14 +248,14 @@ class TestDeterminant:
         assert det(matrix).is_zero
 
     def test_non_square_rejected(self):
-        one = LaurentPoly.constant(1, 1)
+        one = LaurentPoly(1, {(0,): 1})
         with pytest.raises(InputDomainError):
             det([[one, one]])
         with pytest.raises(InputDomainError):
             det([])
 
     def test_side_cap(self):
-        one = LaurentPoly.constant(1, 1)
+        one = LaurentPoly(1, {(0,): 1})
         size = 9
         with pytest.raises(InputDomainError):
             det([[one] * size for _ in range(size)])
@@ -261,20 +263,20 @@ class TestDeterminant:
     def test_mixed_arity_rejected(self):
         with pytest.raises(InputDomainError):
             det([
-                [LaurentPoly.constant(1, 1), LaurentPoly.constant(1, 1)],
-                [LaurentPoly.constant(2, 1), LaurentPoly.constant(1, 1)],
+                [LaurentPoly(1, {(0,): 1}), LaurentPoly(1, {(0,): 1})],
+                [LaurentPoly(2, {(0, 0): 1}), LaurentPoly(1, {(0,): 1})],
             ])
 
 
 class TestRationalFn:
     def test_zero_denominator_rejected(self):
         with pytest.raises(DegenerateDenominatorError):
-            RationalFn(LaurentPoly.constant(1, 1), LaurentPoly.zero(1))
+            RationalFn(LaurentPoly(1, {(0,): 1}), LaurentPoly(1))
 
     def test_equality_is_term_for_term_on_both_parts(self):
         s = LaurentPoly.variable(1, 1)
-        two = LaurentPoly.constant(1, 2)
-        one = LaurentPoly.constant(1, 1)
+        two = LaurentPoly(1, {(0,): 2})
+        one = LaurentPoly(1, {(0,): 1})
         assert RationalFn(s, one) == RationalFn(LaurentPoly.variable(1, 1), one)
         # equal as functions, but written over different denominators
         assert RationalFn(2 * s, two) != RationalFn(s, one)
@@ -345,7 +347,7 @@ class TestSerialization:
     def test_text_rendering(self):
         p = P(2, {(-1, -2): 1, (-2, -1): -1})
         assert p.to_text(("z1", "z2")) == "z1^-1*z2^-2 - z1^-2*z2^-1"
-        assert LaurentPoly.zero(1).to_text() == "0"
+        assert LaurentPoly(1).to_text() == "0"
         assert P(1, {(0,): Fraction(3, 2)}).to_text() == "3/2"
 
     def test_latex_rendering(self):
@@ -562,7 +564,7 @@ class TestWriters:
 
     @pytest.mark.parametrize("arity", range(1, 7))
     def test_zero_polynomial(self, arity):
-        zero = LaurentPoly.zero(arity)
+        zero = LaurentPoly(arity)
         assert_same(zero.to_json(), dumped(zero))
         assert zero.to_text() == reference_text(zero) == "0"
         assert zero.to_latex() == reference_latex(zero) == "0"

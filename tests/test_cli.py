@@ -1,6 +1,8 @@
 import argparse
+import importlib
 import json
 import math
+import re
 import shlex
 import subprocess
 import sys
@@ -177,7 +179,7 @@ class TestVerify:
     def test_one_power_too_many_in_the_pole_product_fails(self, capsys, monkeypatch, argv):
         # prod_q (2 + T_q s_q)^(dim + 1): every Laplace form reads the wrong body
         def one_power_too_many(params):
-            return math.prod(v ** (params.dim + 1) for _, v in _tustin_keys(params))
+            return math.prod(v ** (params.dim + 1) for _, v in _tustin_keys(params.steps))
 
         monkeypatch.setattr("zeps.sdomain._denominator_product", one_power_too_many)
         code, out, _ = run(capsys, "verify", *argv)
@@ -190,7 +192,7 @@ class TestVerify:
         # product fails the term-for-term comparison (the points divide by
         # the pole factors, so they still agree); a skewed scale fails the points.
         def one_power_too_many(params):
-            return math.prod(v ** (params.dim + 1) for _, v in _tustin_keys(params))
+            return math.prod(v ** (params.dim + 1) for _, v in _tustin_keys(params.steps))
 
         def skewed(dim, params=None):
             result = laplace_determinant(dim, params)
@@ -220,7 +222,7 @@ class TestVerify:
             return _denominator_product(params) + LaurentPoly.variable(params.dim, 1)
 
         def power(params):
-            (_, first), *rest = _tustin_keys(params)
+            (_, first), *rest = _tustin_keys(params.steps)
             return first ** (params.dim - 1) * math.prod(v**params.dim for _, v in rest)
 
         mutants = {"coefficient": coefficient, "power": power}
@@ -689,6 +691,24 @@ class TestSharedParser:
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_module_table_names_real_objects():
+    # every `name` (...) entry of a `zeps.<module>` row, `a`/`b` (...) naming both
+    rows = re.findall(r"^\| `zeps\.(\w+)` +\|(.*)\|$", README.read_text(), re.M)
+    named = [
+        (module, name)
+        for module, cells in rows
+        for entry in re.findall(r"((?:`\w+`/)*`\w+`) \(", cells)
+        for name in re.findall(r"\w+", entry)
+    ]
+    assert {module for module, _ in named} == {"epsilon", "algebra", "ztransform", "sdomain"}
+    missing = [
+        f"zeps.{module}.{name}"
+        for module, name in named
+        if not hasattr(importlib.import_module(f"zeps.{module}"), name)
+    ]
+    assert missing == []
 
 
 def test_readme_cli_block_runs_as_stated(capsys):

@@ -131,8 +131,8 @@ def test_equality_is_value_equality(case):
     assert a + b - b == a
     assert (a * b == b * a) and (a + b == b + a)
     # a product that had to widen its digits still equals the narrow original
-    wide = LaurentPoly.monomial(arity, (10**6,) * arity)
-    narrow_back = LaurentPoly.monomial(arity, (-(10**6),) * arity)
+    wide = LaurentPoly(arity, {(10**6,) * arity: 1})
+    narrow_back = LaurentPoly(arity, {(-(10**6),) * arity: 1})
     assert a * wide * narrow_back == a
     assert (a == 0) == (not ref_clean(ta))
 
@@ -147,11 +147,11 @@ def test_mixed_denominator_sums_cancel_to_zero(case, data):
         parts.append({exponents: cut})
         parts.append({exponents: coeff - cut})
         parts.append({exponents: -coeff})
-    total = LaurentPoly.zero(arity)
+    total = LaurentPoly(arity)
     for part in parts:
         total = total + LaurentPoly(arity, part)
     assert total.is_zero and not total.terms and total.terms == {}
-    assert total == LaurentPoly.zero(arity) and total == 0
+    assert total == LaurentPoly(arity) and total == 0
     assert total.to_text() == "0"
     a = LaurentPoly(arity, ta)
     scale = data.draw(COEFFS.filter(bool))
@@ -206,6 +206,17 @@ def test_terms_len_builds_no_fraction(monkeypatch):
     assert len(product.terms) == 6
     with pytest.raises(AssertionError, match="a Fraction was built"):
         product.terms[(3, -1)]
+
+
+def test_integer_coefficients_build_no_fraction(monkeypatch):
+    # the constructor packs each coefficient as it was given
+    def no_fraction(*args):
+        raise AssertionError("a Fraction was built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr("zeps.algebra.Fraction", no_fraction)
+        poly = LaurentPoly(2, {(1, -1): 3, (0, 2): -2})
+    assert dict(poly.terms) == {(1, -1): 3, (0, 2): -2}
 
 
 def test_pole_at_zero_with_negative_exponent():
@@ -294,8 +305,8 @@ def test_det_of_scalars_and_polynomials_takes_the_generic_sum():
 def test_det_repacks_at_the_width_edges(edge):
     # every entry fits the narrower width, but x^(edge-1) * x^1 does not
     matrix = [
-        [LaurentPoly.monomial(2, (edge - 1, -1), Fraction(1, 3)), LaurentPoly.constant(2, Fraction(1, 2))],
-        [LaurentPoly.monomial(2, (0, -1)), LaurentPoly.monomial(2, (1, 1 - edge), Fraction(5, 7))],
+        [LaurentPoly(2, {(edge - 1, -1): Fraction(1, 3)}), LaurentPoly(2, {(0, 0): Fraction(1, 2)})],
+        [LaurentPoly(2, {(0, -1): 1}), LaurentPoly(2, {(1, 1 - edge): Fraction(5, 7)})],
     ]
     new = det(matrix)
     assert new == old_det(matrix)
@@ -304,9 +315,9 @@ def test_det_repacks_at_the_width_edges(edge):
 
 @pytest.mark.parametrize("position", [(0, 1), (2, 2), (1, 0)])
 def test_det_rejects_mixed_arity_anywhere(position):
-    matrix = [[LaurentPoly.constant(2, k + 1) for k in range(3)] for _ in range(3)]
+    matrix = [[LaurentPoly(2, {(0, 0): k + 1}) for k in range(3)] for _ in range(3)]
     row, col = position
-    matrix[row][col] = LaurentPoly.constant(3, 1)
+    matrix[row][col] = LaurentPoly(3, {(0, 0, 0): 1})
     with pytest.raises(InputDomainError):
         det(matrix)
 
@@ -321,7 +332,7 @@ def test_det_rejects_arities_that_agree_within_each_product():
 
 
 def test_det_side_cap_still_applies():
-    one = LaurentPoly.constant(1, 1)
+    one = LaurentPoly(1, {(0,): 1})
     det([[one] * MAX_DET_SIDE for _ in range(MAX_DET_SIDE)])
     with pytest.raises(InputDomainError):
         det([[one] * (MAX_DET_SIDE + 1) for _ in range(MAX_DET_SIDE + 1)])

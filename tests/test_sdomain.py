@@ -116,6 +116,19 @@ class TestTustinMap:
         with pytest.raises(InputDomainError):
             tustin_map(1, 0)
 
+    def test_builds_no_step_record(self, monkeypatch):
+        # one step is read on its own, with TustinParams's messages
+        def no_params(*args):
+            raise AssertionError("a TustinParams was built")
+
+        monkeypatch.setattr("zeps.sdomain.TustinParams", no_params)
+        assert tustin_map(Fraction(1), "1") == Fraction(3)
+        assert tustin_map(0.5j, 2.0) == (2 + 1j) / (2 - 1j)
+        with pytest.raises(InputDomainError, match="^step constants must be positive, got 0$"):
+            tustin_map(1, 0)
+        with pytest.raises(MapSingularityError, match="s = 2/T = 4$"):
+            tustin_map(4, "1/2")
+
     def test_singularity_past_the_digit_cap_is_named(self):
         # 2/T has 4,301 digits, past Python's int-to-str cap of 4,300
         step = Fraction(1, 10**4300 - 1)
@@ -176,7 +189,7 @@ class TestRSum:
         for q in range(1, dim + 1):
             ts = params.steps[q - 1] * LaurentPoly.variable(dim, q)
             for p in range(dim):
-                numerator = LaurentPoly.zero(dim)
+                numerator = LaurentPoly(dim)
                 for r in range(1, dim + 1):
                     numerator = numerator + r**p * (2 - ts) ** r * (2 + ts) ** (dim - r)
                 fn = r_sum(dim, p, q, params)

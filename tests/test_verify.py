@@ -9,6 +9,7 @@ from zeps.epsilon import _parity, _product_value
 from zeps.errors import UnsupportedDimensionError
 from zeps.sdomain import TustinParams, laplace_determinant
 from zeps.verify import (
+    _S_MARGIN,
     check_determinant_oracle,
     check_epsilon_formulas,
     check_tustin_consistency,
@@ -37,10 +38,10 @@ class TestSamplers:
         rng = random.Random(0)
         params = TustinParams(2, (Fraction(1), Fraction(1, 2)))
         for _ in range(200):
-            point = random_s_point(rng, params, margin=0.3)
+            point = random_s_point(rng, params)
             for q, s in enumerate(point):
                 t = float(params.steps[q])
-                assert abs(t * s - 2) >= 0.3 and abs(t * s + 2) >= 0.3
+                assert abs(t * s - 2) >= _S_MARGIN and abs(t * s + 2) >= _S_MARGIN
 
     def test_rational_points_are_exact_and_regular(self):
         rng = random.Random(0)

@@ -84,7 +84,7 @@ class TestMomentSums:
     @pytest.mark.parametrize("dim,p,q", [(2, 1, 2), (3, 2, 1), (4, 3, 3)])
     def test_matches_step_windowed_sum(self, dim, p, q):
         # independent route: gate n^p z^{-n} with a step-function window
-        windowed = LaurentPoly.zero(dim)
+        windowed = LaurentPoly(dim)
         for n in range(-dim, 3 * dim + 1):
             gate = heaviside(n, 1) - heaviside(n, dim + 1)
             if gate:
