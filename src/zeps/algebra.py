@@ -29,6 +29,7 @@ serialization order is graded-lexicographic, highest first.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
@@ -142,9 +143,32 @@ def json_number(value: Fraction) -> dict:
     return {"num": value.numerator, "den": value.denominator}
 
 
+# The writers yield their text in pieces of at most ``PIECE_TERMS``
+# polynomial terms, so a long document is written as it is rendered and is
+# never held whole.  Each ``to_*`` method is the join of its writer's pieces.
+PIECE_TERMS = 256
+
+
+def _batched(pieces: Iterable[str], sep: str = "") -> Iterator[str]:
+    """``sep.join(pieces)`` in pieces of ``PIECE_TERMS`` at a time."""
+    pieces, lead = iter(pieces), ""
+    while batch := list(itertools.islice(pieces, PIECE_TERMS)):
+        yield lead + sep.join(batch)
+        lead = sep
+
+
+def laid_out(layout: str, *parts) -> Iterator[str]:
+    """``layout.format(*parts)`` in pieces; each part is a string or an iterable of pieces."""
+    literals = layout.format(*["\0"] * len(parts)).split("\0")
+    for literal, part in zip(literals, parts):
+        yield literal
+        yield from (part,) if isinstance(part, str) else part
+    yield literals[-1]
+
+
 # A JSON document is a dict of strings, integers, lists and dicts with
 # plain-name keys (no floats, bools or nulls), whose values may also be
-# polynomials.  ``json_text`` writes it, and ``_json_tree`` gives the
+# polynomials.  ``json_pieces`` writes it, and ``_json_tree`` gives the
 # dict that ``json.dumps`` would write the same.  zeps reads no JSON back.
 
 
@@ -156,25 +180,26 @@ def _json_tree(fields: Mapping) -> dict:
     }
 
 
-def json_text(value, level: int = 0) -> str:
-    """``json.dumps(value, indent=2)``, byte for byte, at any integer length.
+def json_pieces(value, level: int = 0) -> Iterator[str]:
+    """``json.dumps(value, indent=2)`` in pieces, byte for byte, at any integer length.
 
-    Each polynomial writes itself with ``to_json``, the bytes of
+    Each polynomial writes itself with ``json_pieces``, the bytes of
     ``json.dumps`` on its ``to_json_dict``.  Every integer goes through
     ``int_text`` and only strings reach ``json.dumps``.  ``level``
     indents every line after the first as the value of a key ``level``
     objects deep.
     """
     if isinstance(value, (int, str)):
-        return int_text(value) if isinstance(value, int) else json.dumps(value)
-    if isinstance(value, LaurentPoly):
-        return value.to_json(level)
-    pad = "\n" + "  " * (level + 1)
-    if isinstance(value, dict):
-        items, ends = [f'"{key}": {json_text(v, level + 1)}' for key, v in value.items()], "{}"
+        yield int_text(value) if isinstance(value, int) else json.dumps(value)
+    elif isinstance(value, LaurentPoly):
+        yield from value.json_pieces(level)
     else:
-        items, ends = [json_text(v, level + 1) for v in value], "[]"
-    return f"{ends[0]}{pad}{(',' + pad).join(items)}{pad[:-2]}{ends[1]}" if items else ends
+        pad, ends = "\n" + "  " * (level + 1), "{}" if isinstance(value, dict) else "[]"
+        items = value.items() if isinstance(value, dict) else ((None, v) for v in value)
+        for i, (key, item) in enumerate(items):
+            yield f"{',' if i else ends[0]}{pad}" + (f'"{key}": ' if key is not None else "")
+            yield from json_pieces(item, level + 1)
+        yield pad[:-2] + ends[1] if value else ends
 
 
 def _default_names(arity: int) -> tuple[str, ...]:
@@ -632,18 +657,25 @@ class LaurentPoly:
             common = math.gcd(c, den) if den != 1 else 1
             yield highs[b & high] + lows[b & low], c // common, den // common
 
-    def to_text(self, varnames: Sequence[str] | None = None) -> str:
+    def text_pieces(self, varnames: Sequence[str] | None = None) -> Iterator[str]:
         """Deterministic plain-text form, e.g. ``z1^-1*z2^-2 - z1^-2*z2^-1``."""
-        return self._render(varnames, "*", "{}^{}", "{}/{}")
+        return _batched(self._render(varnames, "*", "{}^{}", "{}/{}"))
+
+    def latex_pieces(self, varnames: Sequence[str] | None = None) -> Iterator[str]:
+        """LaTeX form with explicit negative exponents, e.g. ``z_{1}^{-1}``."""
+        return _batched(self._render(varnames, " ", "{}^{{{}}}", LATEX_FRACTION))
+
+    def to_text(self, varnames: Sequence[str] | None = None) -> str:
+        return "".join(self.text_pieces(varnames))
 
     def to_latex(self, varnames: Sequence[str] | None = None) -> str:
-        """LaTeX form with explicit negative exponents, e.g. ``z_{1}^{-1}``."""
-        return self._render(varnames, " ", "{}^{{{}}}", LATEX_FRACTION)
+        return "".join(self.latex_pieces(varnames))
 
-    def _render(self, varnames, join: str, power_fmt: str, fraction_fmt: str) -> str:
-        """Signed terms in grlex order; a unit magnitude is shown only on constants."""
+    def _render(self, varnames, join: str, power_fmt: str, fraction_fmt: str) -> Iterator[str]:
+        """Each signed term in grlex order; a unit magnitude is shown only on constants."""
         if self.is_zero:
-            return "0"
+            yield "0"
+            return
         names = tuple(varnames) if varnames else _default_names(self.arity)
 
         def power(i: int, e: int) -> str:
@@ -651,7 +683,7 @@ class LaurentPoly:
                 return ""
             return join + (names[i] if e == 1 else power_fmt.format(names[i], e))
 
-        pieces: list[str] = []
+        signs = ("", "-")  # the first term's; every later sign is spaced
         for monomial, num, den in self._walk(power, ""):
             magnitude = abs(num)
             if den != 1:
@@ -660,9 +692,8 @@ class LaurentPoly:
                 shown, monomial = "", monomial[len(join):]
             else:
                 shown = int_text(magnitude)
-            pieces.append(f"{' - ' if num < 0 else ' + '}{shown}{monomial}")
-        text = "".join(pieces)
-        return text[3:] if text[1] == "+" else "-" + text[3:]
+            yield f"{signs[num < 0]}{shown}{monomial}"
+            signs = (" + ", " - ")
 
     def to_json_dict(self) -> dict:
         """JSON-ready dict: ``{arity, terms: [{exp, num, den}, ...]}``.
@@ -679,8 +710,8 @@ class LaurentPoly:
             ],
         }
 
-    def to_json(self, level: int = 0) -> str:
-        """``json.dumps(self.to_json_dict(), indent=2)``, byte for byte.
+    def json_pieces(self, level: int = 0) -> Iterator[str]:
+        """``json.dumps(self.to_json_dict(), indent=2)`` in pieces, byte for byte.
 
         Written term by term from fixed templates, with no dict built.
         ``level`` indents every line after the first as the value of a
@@ -692,18 +723,21 @@ class LaurentPoly:
         def exp(i: int, e: int) -> str:
             return f"{',' if i else ''}{exp_items}{e}"
 
-        if self.is_zero:
-            terms = "[]"
-        else:
+        yield f'{{{fields}"arity": {self.arity},{fields}"terms": ['
+        if self:
             head = f'{entries}{{{term_fields}"exp": ['
             num_open = f'{term_fields}],{term_fields}"num": "'
             den_open = f'",{term_fields}"den": "'
             close = f'"{entries}}}'
-            terms = "[" + ",".join([
+            yield from _batched((
                 f"{head}{exps}{num_open}{int_text(num)}{den_open}{int_text(den)}{close}"
                 for exps, num, den in self._walk(exp, "")
-            ]) + f"{fields}]"
-        return f'{{{fields}"arity": {self.arity},{fields}"terms": {terms}{pad}}}'
+            ), ",")
+            yield fields
+        yield f"]{pad}}}"
+
+    def to_json(self, level: int = 0) -> str:
+        return "".join(self.json_pieces(level))
 
     def __repr__(self):
         return f"LaurentPoly({self.arity}, {self.to_text()})"
@@ -749,15 +783,19 @@ class RationalFn:
 
     # -- rendering and serialization --------------------------------------
 
+    def text_pieces(self, varnames: Sequence[str] | None = None) -> Iterator[str]:
+        num, den = self.num.text_pieces(varnames), self.den.text_pieces(varnames)
+        return num if self.den == 1 else laid_out("({}) / ({})", num, den)
+
+    def latex_pieces(self, varnames: Sequence[str] | None = None) -> Iterator[str]:
+        num, den = self.num.latex_pieces(varnames), self.den.latex_pieces(varnames)
+        return num if self.den == 1 else laid_out(LATEX_FRACTION, num, den)
+
     def to_text(self, varnames: Sequence[str] | None = None) -> str:
-        if self.den == 1:
-            return self.num.to_text(varnames)
-        return f"({self.num.to_text(varnames)}) / ({self.den.to_text(varnames)})"
+        return "".join(self.text_pieces(varnames))
 
     def to_latex(self, varnames: Sequence[str] | None = None) -> str:
-        if self.den == 1:
-            return self.num.to_latex(varnames)
-        return LATEX_FRACTION.format(self.num.to_latex(varnames), self.den.to_latex(varnames))
+        return "".join(self.latex_pieces(varnames))
 
     def _json_fields(self) -> dict:
         return {"arity": self.arity, "numerator": self.num, "denominator": self.den}
@@ -855,7 +893,8 @@ class ScaledForm:
 
     Each domain subclasses this with its ``body`` (a :class:`LaurentPoly`
     or a :class:`RationalFn`), its variable prefix, its metadata, its
-    JSON fields and its LaTeX layout.
+    JSON fields and its LaTeX layout (``latex_pieces``).  Every writer
+    yields its text in pieces; each ``to_*`` method joins them.
     """
 
     dim: int
@@ -874,17 +913,31 @@ class ScaledForm:
     def latex_names(self) -> tuple[str, ...]:
         return tuple(f"{self.prefix}_{{{q}}}" for q in range(1, self.dim + 1))
 
-    def _scaled(self, body: str, layout: str, fraction: str = LATEX_FRACTION) -> str:
-        """``body`` alone at scale 1, else ``layout`` filled with the scale and ``body``.
+    def _scaled(self, body, layout: str, fraction: str = LATEX_FRACTION) -> Iterator[str]:
+        """``body``'s pieces alone at scale 1, else ``layout`` laid out with the scale and them.
 
         The scale is written with the ``fraction`` layout, LaTeX's by default.
         """
         if self.scale == 1:
             return body
-        return layout.format(rational_text(self.scale, fraction), body)
+        return laid_out(layout, rational_text(self.scale, fraction), body)
+
+    def text_pieces(self) -> Iterator[str]:
+        return self._scaled(self.body.text_pieces(self.varnames()), "{} * ({})", "{}/{}")
+
+    def json_pieces(self) -> Iterator[str]:
+        """``json.dumps(self.to_json_dict(), indent=2)``, written straight from the packed maps."""
+        return json_pieces(self._json_fields())
 
     def to_text(self) -> str:
-        return self._scaled(self.body.to_text(self.varnames()), "{} * ({})", "{}/{}")
+        return "".join(self.text_pieces())
+
+    def to_latex(self) -> str:
+        """The domain's LaTeX layout, from its ``latex_pieces``."""
+        return "".join(self.latex_pieces())
+
+    def to_json(self) -> str:
+        return "".join(self.json_pieces())
 
     def _json_fields(self) -> dict:
         """The JSON document, polynomials among its values; each domain declares its own."""
@@ -892,7 +945,3 @@ class ScaledForm:
 
     def to_json_dict(self) -> dict:
         return _json_tree(self._json_fields())
-
-    def to_json(self) -> str:
-        """``json.dumps(self.to_json_dict(), indent=2)``, written straight from the packed maps."""
-        return json_text(self._json_fields())

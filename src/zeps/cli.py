@@ -12,6 +12,7 @@ import cmath
 import functools
 import os
 import sys
+from collections.abc import Iterable
 from fractions import Fraction
 
 from .algebra import quoted, rational_text, read_rational
@@ -90,24 +91,25 @@ def _parse_point(text: str, dim: int) -> tuple:
     return components
 
 
-def cmd_emit(args) -> tuple[int, str]:
+def cmd_emit(args) -> tuple[int, Iterable[str]]:
+    """The built result's ``--format`` writer: its pieces, rendered as ``main`` writes them."""
     high, build, _ = DOMAINS[args.domain]
     result = build(args.dim, _window_then_steps(args, high))
-    return EXIT_OK, getattr(result, f"to_{args.format}")()
+    return EXIT_OK, getattr(result, f"{args.format}_pieces")()
 
 
-def cmd_eval(args) -> tuple[int, str]:
+def cmd_eval(args) -> tuple[int, Iterable[str]]:
     high, _, value_at = DOMAINS[args.domain]
     params = _window_then_steps(args, high)
     value = value_at(_parse_point(args.point, args.dim), params)
     if isinstance(value, Fraction):
-        return EXIT_OK, rational_text(value)
+        return EXIT_OK, [rational_text(value)]
     if not cmath.isfinite(value):
         raise OverflowError(f"complex evaluation overflowed to {value}")
-    return EXIT_OK, str(value)
+    return EXIT_OK, [str(value)]
 
 
-def cmd_verify(args) -> tuple[int, str]:
+def cmd_verify(args) -> tuple[int, Iterable[str]]:
     params = _window_then_steps(args, MAX_DIM)
     checks = [check_epsilon_formulas(args.dim), check_determinant_oracle(args.dim)]
     lines = []
@@ -123,17 +125,17 @@ def cmd_verify(args) -> tuple[int, str]:
         for line in check.details:
             print(f"    {line}", file=sys.stderr)
     passed = all(check.passed for check in checks)
-    return EXIT_OK if passed else EXIT_VERIFY_FAILED, "\n".join(lines)
+    return EXIT_OK if passed else EXIT_VERIFY_FAILED, ["\n".join(lines)]
 
 
-def cmd_report(args) -> tuple[int, str]:
+def cmd_report(args) -> tuple[int, Iterable[str]]:
     params = _window_then_steps(args, MAX_DIM)
     if args.dim != 2:
         raise ValueError(
             f"pole/zero report is implemented for dim 2 only; for dims 3 to {MAX_DIM} use "
             "`verify` (sampling-based consistency checks) instead"
         )
-    return EXIT_OK, getattr(pole_zero_report_2d(params), f"to_{args.format}")()
+    return EXIT_OK, [getattr(pole_zero_report_2d(params), f"to_{args.format}")()]
 
 
 @functools.cache
@@ -184,21 +186,26 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "samples", 1) < 1:
         parser.error("--samples must be >= 1")
+    # The command builds its result and returns the pieces of its output,
+    # so a failed build writes nothing; each piece is written as it is
+    # rendered, and a writer's error ends the output with its own message.
     try:
-        code, output = args.func(args)
+        code, pieces = args.func(args)
+        try:
+            for piece in pieces:
+                print(piece, end="")
+            print()
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader closed early (``zeps emit ... | head``).  Point stdout
+            # at /dev/null so the interpreter's flush at exit fails no more.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except (ZeroDivisionError, OverflowError) as exc:
         print(f"evaluation error: {exc}", file=sys.stderr)
         return EXIT_EVALUATION
     except (ZepsError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        print(output)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader closed early (``zeps emit ... | head``).  Point stdout
-        # at /dev/null so the interpreter's flush at exit fails no more.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, ClassVar, Sequence
+from typing import Callable, ClassVar, Iterator, Sequence
 
 from .algebra import (
     EXACT_SCALARS,
@@ -36,7 +36,8 @@ from .algebra import (
     det,
     exact_repr,
     json_number,
-    json_text,
+    json_pieces,
+    laid_out,
     quoted,
     rational_text,
     read_rational,
@@ -186,15 +187,15 @@ class LaplaceResult(ScaledForm):
     def body(self) -> RationalFn:
         return RationalFn(self.numerator, _denominator_product(self.params))
 
-    def to_latex(self) -> str:
+    def latex_pieces(self) -> Iterator[str]:
         """LaTeX with the denominator as Tustin's pole factors, each (2 + T_q s_q)^dim."""
         names = self.latex_names()
-        numerator = self.numerator.to_latex(names)
         denominator = " ".join(
             f"\\left({v.to_latex(names)}\\right)^{{{self.dim}}}"
             for _, v in _tustin_keys(self.params.steps)
         )
-        return self._scaled(LATEX_FRACTION.format(numerator, denominator), "{} \\, {}")
+        fraction = laid_out(LATEX_FRACTION, self.numerator.latex_pieces(names), denominator)
+        return self._scaled(fraction, "{} \\, {}")
 
     def _json_fields(self) -> dict:
         return {
@@ -378,7 +379,7 @@ class PoleZeroReport:
 
     def to_json(self) -> str:
         """``json.dumps(self.to_json_dict(), indent=2)``, byte for byte."""
-        return json_text(self.to_json_dict())
+        return "".join(json_pieces(self.to_json_dict()))
 
 
 def pole_zero_report_2d(params: TustinParams) -> PoleZeroReport:

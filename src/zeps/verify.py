@@ -27,8 +27,6 @@ from .epsilon import _parity, _product_value, enumerate_indices
 from .sdomain import (
     TustinParams,
     _laplace_params,
-    _pair_ratio,
-    _tustin_keys,
     factored_laplace,
     factored_laplace_value,
     laplace_determinant,
@@ -193,8 +191,10 @@ def check_tustin_consistency(
     z-route is the form ``emit`` prints, which the oracle check holds
     equal to the Z-domain determinant and to brute force; the s-route
     divides the determinant's numerator by the pole factors,
-    prod_q (2 + T_q s_q)^dim.  Each point's Tustin pair (u_q, v_q) is
-    taken once: it gives the z-point v_q / u_q and the factors v_q^dim.
+    prod_q (2 + T_q s_q)^dim.  The map to the z-point,
+    z_q = (1 + s_q T_q/2)/(1 - s_q T_q/2), and the pole factors are
+    written here from the paper, apart from the Tustin pair the builders
+    and ``eval`` share, so a wrong pair cannot bend both routes alike.
     Both routes evaluate with no rounding and are compared for
     equality: any difference is a true algebraic mismatch.  At each
     point the two values ``eval`` prints, ``factored_value`` at the
@@ -221,11 +221,10 @@ def check_tustin_consistency(
     failures += pole_mismatch
     for _ in range(samples):
         s_point = random_rational_s_point(rng, params)
-        keys = _tustin_keys(params.steps, s_point)
-        # the sampler never draws T_q s_q = 2, so no u_q is 0
-        z_point = tuple(_pair_ratio(v, u) for u, v in keys)
+        # the paper's map; the sampler never draws T_q s_q = 2, where it is singular
+        z_point = tuple((1 + t * s / 2) / (1 - t * s / 2) for t, s in zip(params.steps, s_point))
         via_z = z_form.evaluate(z_point)
-        poles = math.prod(v**dim for _, v in keys)
+        poles = math.prod((2 + t * s) ** dim for t, s in zip(params.steps, s_point))
         via_s = s_form.scale * s_form.numerator.evaluate(s_point) / poles
         eval_z = factored_value(z_point)
         eval_s = factored_laplace_value(s_point, params)

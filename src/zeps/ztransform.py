@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar, Sequence
+from typing import ClassVar, Iterator, Sequence
 
 from .algebra import LaurentPoly, ScaledForm, det, json_number, vandermonde
 from .epsilon import _identity_product, _parity, enumerate_indices, gamma_int
@@ -75,8 +75,8 @@ class TransformResult(ScaledForm):
         """The transform as a single canonical polynomial, scale folded in."""
         return self.scale * self.body
 
-    def to_latex(self) -> str:
-        return self._scaled(self.body.to_latex(self.latex_names()), "{} \\left( {} \\right)")
+    def latex_pieces(self) -> Iterator[str]:
+        return self._scaled(self.body.latex_pieces(self.latex_names()), "{} \\left( {} \\right)")
 
     def _json_fields(self) -> dict:
         return {

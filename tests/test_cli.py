@@ -11,11 +11,13 @@ from pathlib import Path
 
 import pytest
 
+import zeps.cli
 import zeps.verify
 from zeps.algebra import LaurentPoly, RationalFn, det
 from zeps.cli import (
     EXIT_EVALUATION, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, build_parser, main,
 )
+from zeps.errors import InputDomainError
 from zeps.sdomain import (
     TustinParams, _denominator_product, _tustin_keys, factored_laplace, laplace_determinant,
 )
@@ -78,6 +80,39 @@ class TestEmit:
         with pytest.raises(SystemExit) as exc:
             main(["emit", "--domain", "z", "--dim", "2", "--format", "xml"])
         assert exc.value.code == EXIT_USAGE
+
+
+class TestStreamedOutput:
+    @pytest.mark.parametrize(
+        "error,code,message",
+        [
+            (InputDomainError("planted"), EXIT_USAGE, "error: planted\n"),
+            (OverflowError("planted"), EXIT_EVALUATION, "evaluation error: planted\n"),
+        ],
+        ids=["zeps-error", "overflow"],
+    )
+    def test_a_writer_error_after_its_first_piece_ends_the_output(
+        self, capsys, monkeypatch, error, code, message
+    ):
+        # the result is built before the first write; an error raised while
+        # the writer renders ends the output with the command's own message
+        render = LaurentPoly._render
+
+        def failing(self, *args):
+            yield next(render(self, *args))
+            raise error
+
+        monkeypatch.setattr(LaurentPoly, "_render", failing)
+        assert run(capsys, "emit", "--domain", "z", "--dim", "3") == (code, "1/2 * (", message)
+
+    def test_a_failed_build_writes_nothing(self, capsys, monkeypatch):
+        def failing(dim, params):
+            raise InputDomainError("planted")
+
+        monkeypatch.setitem(zeps.cli.DOMAINS, "z", (6, failing, None))
+        assert run(capsys, "emit", "--domain", "z", "--dim", "3") == (
+            EXIT_USAGE, "", "error: planted\n"
+        )
 
 
 class TestEval:
@@ -305,6 +340,24 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--dim", "3", "--samples", "2")
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    @pytest.mark.parametrize(
+        "bend", [lambda u, v: (u + 1, v), lambda u, v: (v, v)], ids=["u=3-Ts", "u=v"]
+    )
+    def test_a_wrong_tustin_pair_fails_the_tustin_check(self, capsys, monkeypatch, dim, bend):
+        # the builders and eval read Tustin's pair (u_q, v_q) from
+        # _tustin_keys; the check maps each point with the paper's own
+        # formula, so a wrong u_q bends the s-routes and not the z-route
+        def bent(steps, xs=None):
+            return [bend(u, v) for u, v in _tustin_keys(steps, xs)]
+
+        monkeypatch.setattr("zeps.sdomain._tustin_keys", bent)
+        monkeypatch.setattr("zeps.verify._tustin_keys", bent, raising=False)
+        code, out, err = run(capsys, "verify", "--dim", str(dim), "--T", "2/3", "--samples", "20")
+        assert code == EXIT_VERIFY_FAILED
+        assert out.splitlines()[2].startswith("FAIL: factored Laplace form")
+        assert "    at s=" in err and "z-route" in err
+
     @pytest.mark.parametrize("route", ["factored_value", "factored_laplace_value"])
     def test_doubled_eval_route_fails(self, capsys, monkeypatch, route):
         # verify must also check the values eval prints, route by route
@@ -336,12 +389,14 @@ class TestModuleEntryPoint:
         assert completed.returncode == EXIT_OK
         assert completed.stdout.strip() == "z1^-1*z2^-2 - z1^-2*z2^-1"
 
-    def test_reader_closing_early_is_not_a_failure(self):
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_reader_closing_early_is_not_a_failure(self, fmt):
         # ``zeps emit ... | head -c 20``: a closed pipe is the reader's
-        # choice, not a failed verification (exit 1) or a traceback
+        # choice, not a failed verification (exit 1) or a traceback; the
+        # close lands while the writer is still yielding pieces
         with subprocess.Popen(
             [sys.executable, "-m", "zeps", "emit", "--domain", "s", "--dim", "5",
-             "--format", "json"],
+             "--format", fmt],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
         ) as process:
@@ -349,7 +404,7 @@ class TestModuleEntryPoint:
             process.stdout.close()
             err = process.stderr.read()
             assert process.wait() == EXIT_OK
-        assert head.startswith(b"{")
+        assert head.startswith(b"{" if fmt == "json" else b"1/288 * ((")
         assert err == b""
 
     def test_package_root_imports_no_module(self):

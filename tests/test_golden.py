@@ -124,3 +124,28 @@ def test_emit_unpacks_no_exponent_tuple(command, code, digest, monkeypatch):
 
     monkeypatch.setattr("zeps.algebra.LaurentPoly._unpacked", refuse)
     test_stdout_matches_golden_digest(command, code, digest)
+
+
+class WriteSizes(io.StringIO):
+    """A stdout that keeps the size in bytes of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text.encode()))
+        return super().write(text)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_emit_writes_each_piece_as_it_comes(fmt):
+    # the s-5 documents run to hundreds of kilobytes; main writes each
+    # piece the writer yields, so no single write holds the document
+    command = f"emit --domain s --dim 5 --T 1/2,1,3/2,2,5/2 --format {fmt}"
+    (digest,) = [row[2] for row in GOLDEN if row[0] == command]
+    stdout = WriteSizes()
+    with contextlib.redirect_stdout(stdout):
+        assert main(command.split()) == 0
+    assert hashlib.sha256(stdout.getvalue().encode()).hexdigest() == digest
+    assert max(stdout.sizes) <= 64 * 1024 < sum(stdout.sizes)
