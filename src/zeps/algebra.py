@@ -416,10 +416,6 @@ class LaurentPoly:
             object.__setattr__(self, "_view", view)
         return view
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 
@@ -673,7 +669,7 @@ class LaurentPoly:
 
     def _render(self, varnames, join: str, power_fmt: str, fraction_fmt: str) -> Iterator[str]:
         """Each signed term in grlex order; a unit magnitude is shown only on constants."""
-        if self.is_zero:
+        if not self:
             yield "0"
             return
         names = tuple(varnames) if varnames else _default_names(self.arity)
@@ -767,7 +763,7 @@ class RationalFn:
             raise InputDomainError(
                 f"arity mismatch: {self.num.arity} vs {self.den.arity}"
             )
-        if self.den.is_zero:
+        if not self.den:
             raise DegenerateDenominatorError("denominator is identically zero")
 
     @property
@@ -897,12 +893,16 @@ class ScaledForm:
     yields its text in pieces; each ``to_*`` method joins them.
     """
 
-    dim: int
     scale: Fraction
 
     prefix: ClassVar[str] = "x"
 
     __repr__ = exact_repr
+
+    @property
+    def dim(self) -> int:
+        """The number of variables: the body's arity."""
+        return self.body.arity
 
     def evaluate(self, point: Sequence) -> "Fraction | complex":
         return self.scale * self.body.evaluate(point)

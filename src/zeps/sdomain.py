@@ -183,6 +183,11 @@ class LaplaceResult(ScaledForm):
 
     prefix: ClassVar[str] = "s"
 
+    @property
+    def dim(self) -> int:
+        """The numerator's arity; read without expanding the pole product."""
+        return self.numerator.arity
+
     @cached_property
     def body(self) -> RationalFn:
         return RationalFn(self.numerator, _denominator_product(self.params))
@@ -207,14 +212,9 @@ class LaplaceResult(ScaledForm):
         }
 
 
-def _laplace_params(dim: int, params: TustinParams | None) -> TustinParams:
-    """The steps for a Laplace form of ``dim``, after checking its window.
-
-    No ``params`` means T_q = 1 in every dimension.
-    """
+def _laplace_params(dim: int, params: TustinParams) -> TustinParams:
+    """The steps for a Laplace form of ``dim``, after checking its window."""
     require_dim(dim, MAX_LAPLACE_DIM)
-    if params is None:
-        return TustinParams.uniform(dim)
     if params.dim != dim:
         raise InputDomainError(
             f"step constants are for dimension {params.dim}, expected {dim}"
@@ -222,7 +222,7 @@ def _laplace_params(dim: int, params: TustinParams | None) -> TustinParams:
     return params
 
 
-def laplace_determinant(dim: int, params: TustinParams | None = None) -> LaplaceResult:
+def laplace_determinant(dim: int, params: TustinParams) -> LaplaceResult:
     """Laplace-domain transform as the scaled determinant over R(p, q) entries.
 
     Exactly the Z-domain determinant with every moment sum replaced by
@@ -234,10 +234,10 @@ def laplace_determinant(dim: int, params: TustinParams | None = None) -> Laplace
     """
     params = _laplace_params(dim, params)
     numerators = moment_matrix(dim, _tustin_keys(params.steps))
-    return LaplaceResult(dim, Fraction(1, scale_constant(dim)), det(numerators), params)
+    return LaplaceResult(Fraction(1, scale_constant(dim)), det(numerators), params)
 
 
-def factored_laplace(dim: int, params: TustinParams | None = None) -> LaplaceResult:
+def factored_laplace(dim: int, params: TustinParams) -> LaplaceResult:
     """The Laplace determinant's closed form: ``factored_moment_det`` over its keys.
 
     The numerator determinant of ``laplace_determinant`` is taken over
@@ -247,8 +247,8 @@ def factored_laplace(dim: int, params: TustinParams | None = None) -> LaplaceRes
     numerator, same pole product.
     """
     params = _laplace_params(dim, params)
-    numerator = factored_moment_det(dim, _tustin_keys(params.steps))
-    return LaplaceResult(dim, Fraction(1, scale_constant(dim)), numerator, params)
+    numerator = factored_moment_det(_tustin_keys(params.steps))
+    return LaplaceResult(Fraction(1, scale_constant(dim)), numerator, params)
 
 
 def _bilinear_images(coords: Sequence, params: TustinParams) -> list:
@@ -266,9 +266,7 @@ def _bilinear_images(coords: Sequence, params: TustinParams) -> list:
     return images
 
 
-def factored_laplace_value(
-    point: Sequence, params: TustinParams | None = None
-) -> "Fraction | complex":
+def factored_laplace_value(point: Sequence, params: TustinParams) -> "Fraction | complex":
     """The Laplace image at ``point`` from its factors, building nothing.
 
     Tustin's map sends z_q^{-1} to w_q = (2 - T_q s_q)/(2 + T_q s_q),
@@ -307,10 +305,10 @@ def laplace_2d_closed(params: TustinParams) -> LaplaceResult:
         * (step * s1 - 2)
         * (step * s2 - 2)
     )
-    return LaplaceResult(2, Fraction(1), numerator, params)
+    return LaplaceResult(Fraction(1), numerator, params)
 
 
-def laplace_compact_3d(params: TustinParams | None = None) -> Callable:
+def laplace_compact_3d(params: TustinParams) -> Callable:
     """Numeric evaluator for the gamma-indexed three-dimensional form.
 
     Returns a function of one s-point computing the paper's quintuple sum
@@ -343,19 +341,18 @@ class PoleZeroReport:
     describes zeros living on relations between variables.
     """
 
-    dim: int
     step: Fraction
     poles: tuple[tuple[Fraction, int], ...]
     intra_zeros: tuple[tuple[Fraction, int], ...]
     inter_zeros: tuple[str, ...]
 
     def to_text(self) -> str:
-        lines = [f"pole/zero report (dim={self.dim}, T={rational_text(self.step)})"]
-        for q in range(self.dim):
-            pole, pole_mult = self.poles[q]
-            zero, zero_mult = self.intra_zeros[q]
+        lines = [f"pole/zero report (dim={len(self.poles)}, T={rational_text(self.step)})"]
+        for q, ((pole, pole_mult), (zero, zero_mult)) in enumerate(
+            zip(self.poles, self.intra_zeros), start=1
+        ):
             lines.append(
-                f"  dimension {q + 1}: pole at {rational_text(pole)} (multiplicity {pole_mult}); "
+                f"  dimension {q}: pole at {rational_text(pole)} (multiplicity {pole_mult}); "
                 f"zero at {rational_text(zero)} (multiplicity {zero_mult})"
             )
         for description in self.inter_zeros:
@@ -370,7 +367,7 @@ class PoleZeroReport:
             ]
 
         return {
-            "dim": self.dim,
+            "dim": len(self.poles),
             "T": json_number(self.step),
             "poles": sites(self.poles),
             "intra_zeros": sites(self.intra_zeros),
@@ -394,7 +391,6 @@ def pole_zero_report_2d(params: TustinParams) -> PoleZeroReport:
     pole = Fraction(-2) / step
     zero = Fraction(2) / step
     return PoleZeroReport(
-        dim=2,
         step=step,
         poles=((pole, 2), (pole, 2)),
         intra_zeros=((zero, 1), (zero, 1)),

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import sdomain
@@ -48,14 +48,19 @@ POINT_DENOMINATOR = 8
 
 @dataclass(frozen=True)
 class CheckResult:
+    """A check's name and the lines saying what failed; it passes with none."""
+
     name: str
-    passed: bool
-    details: tuple[str, ...] = field(default_factory=tuple)
+    details: tuple[str, ...]
+
+    @property
+    def passed(self) -> bool:
+        return not self.details
 
 
 def _result(name: str, details: list[str]) -> CheckResult:
-    """A check's verdict: it passes with no detail lines, and keeps the first 20."""
-    return CheckResult(name, not details, tuple(details[:20]))
+    """A check's result, keeping the first 20 of its detail lines."""
+    return CheckResult(name, tuple(details[:20]))
 
 
 def _mismatches(routes: Sequence[tuple[str, LaurentPoly]]) -> list[str]:
@@ -174,10 +179,7 @@ def _binomial_pole_product(params: TustinParams) -> LaurentPoly:
 
 
 def check_tustin_consistency(
-    dim: int,
-    params: TustinParams | None = None,
-    samples: int = 100,
-    seed: int = 0,
+    dim: int, params: TustinParams, samples: int = 100, seed: int = 0
 ) -> CheckResult:
     """Factored Laplace form vs the Laplace determinant, then the bilinear map.
 

@@ -107,19 +107,19 @@ def moment_matrix(dim: int, keys: Sequence[tuple]) -> list[list]:
     return [list(row) for row in zip(*columns)]
 
 
-def factored_moment_det(dim: int, keys: Sequence[tuple]):
-    """det(moment_matrix(dim, keys)) from its Vandermonde factors, in O(dim^2) products.
+def factored_moment_det(keys: Sequence[tuple]):
+    """det(moment_matrix(N, keys)) from its Vandermonde factors, N = len(keys), in O(N^2) products.
 
-    The moment matrix factors as [r^p] times [a_q^r b_q^(dim-r)], with
-    r = 1..dim.  The first factor's determinant is ``scale_constant(dim)``;
+    The moment matrix factors as [r^p] times [a_q^r b_q^(N-r)], with
+    r = 1..N.  The first factor's determinant is ``scale_constant(N)``;
     taking a_q out of column q leaves a homogeneous Vandermonde matrix, so
     the determinant is
-    scale_constant(dim) * prod_q a_q * prod_{i<j} (a_j b_i - a_i b_j).
+    scale_constant(N) * prod_q a_q * prod_{i<j} (a_j b_i - a_i b_j).
     Only ``*`` and ``-`` are applied, so keys keep their type: ``int``
     keys give an ``int``.
     """
     cross = [a * b_i - a_i * b for j, (a, b) in enumerate(keys) for a_i, b_i in keys[:j]]
-    return scale_constant(dim) * math.prod([a for a, _ in keys] + cross)
+    return scale_constant(len(keys)) * math.prod([a for a, _ in keys] + cross)
 
 
 def _z_keys(dim: int) -> list[tuple]:
@@ -165,7 +165,7 @@ def brute_force_ztransform(dim: int) -> TransformResult:
         sign = _parity(idx)
         if sign:
             terms[tuple(-n for n in idx)] = sign
-    return TransformResult(dim, Fraction(1), LaurentPoly(dim, terms))
+    return TransformResult(Fraction(1), LaurentPoly(dim, terms))
 
 
 def determinant_ztransform(dim: int) -> TransformResult:
@@ -179,7 +179,7 @@ def determinant_ztransform(dim: int) -> TransformResult:
     against; ``verify`` builds it once, in the oracle check.
     """
     body = det(moment_matrix(dim, _z_keys(dim)))
-    return TransformResult(dim, Fraction(1, scale_constant(dim)), body)
+    return TransformResult(Fraction(1, scale_constant(dim)), body)
 
 
 def factored_ztransform(dim: int) -> TransformResult:
@@ -191,8 +191,8 @@ def factored_ztransform(dim: int) -> TransformResult:
     included, in O(dim^2) polynomial products instead of a cofactor
     expansion.
     """
-    body = factored_moment_det(dim, _z_keys(dim))
-    return TransformResult(dim, Fraction(1, scale_constant(dim)), body)
+    body = factored_moment_det(_z_keys(dim))
+    return TransformResult(Fraction(1, scale_constant(dim)), body)
 
 
 def factored_value(point: Sequence) -> "Fraction | complex":
@@ -236,4 +236,4 @@ def compact_form_3d() -> TransformResult:
     equals ``determinant_ztransform(3)`` term for term.
     """
     body = compact_sum_3d(moment_matrix(3, _z_keys(3)))
-    return TransformResult(3, Fraction(1, 2), body)
+    return TransformResult(Fraction(1, 2), body)

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import json
 import os
 import random
@@ -8,14 +10,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from zeps.algebra import LaurentPoly, RationalFn, det, int_text
+from zeps.algebra import LaurentPoly, RationalFn, det, int_text, quoted
 from zeps.errors import (
     DegenerateDenominatorError,
     EvaluationPoleError,
     InputDomainError,
 )
-from zeps.sdomain import LaplaceResult, TustinParams, factored_laplace, pole_zero_report_2d
-from zeps.ztransform import TransformResult, factored_ztransform
+from zeps.sdomain import (
+    LaplaceResult, PoleZeroReport, TustinParams, factored_laplace, laplace_2d_closed,
+    laplace_determinant, pole_zero_report_2d,
+)
+from zeps.verify import CheckResult
+from zeps.ztransform import (
+    TransformResult, brute_force_ztransform, compact_form_3d, determinant_ztransform,
+    factored_ztransform,
+)
 
 
 def P(arity, terms):
@@ -87,7 +96,7 @@ class TestConstruction:
 class TestArithmetic:
     def test_additive_inverse_cancels(self):
         a = P(1, {(-1,): 1})
-        assert (a + (-a)).is_zero
+        assert not a + (-a)
 
     def test_add_builds_two_dimensional_transform(self):
         a = P(2, {(-1, -2): 1})
@@ -187,6 +196,12 @@ class TestEvaluation:
         with pytest.raises(EvaluationPoleError):
             p.evaluate((0,))
 
+    @pytest.mark.parametrize("var", [1, 2, 3])
+    def test_pole_message_names_the_zero_variable(self, var):
+        point = tuple(0 if q == var else 1 for q in (1, 2, 3))
+        with pytest.raises(EvaluationPoleError, match=f"^variable {var} is zero "):
+            LaurentPoly.variable(3, var, -1).evaluate(point)
+
     def test_zero_coordinate_with_positive_exponents_ok(self):
         p = P(1, {(2,): 1, (0,): 7})
         assert p.evaluate((0,)) == 7
@@ -245,7 +260,7 @@ class TestDeterminant:
             [random_poly(rng, 2) for _ in range(side)] for _ in range(side - 2)
         ]
         matrix = [row, *other_rows, row]
-        assert det(matrix).is_zero
+        assert not det(matrix)
 
     def test_non_square_rejected(self):
         one = LaurentPoly(1, {(0,): 1})
@@ -307,6 +322,13 @@ class TestRationalFn:
         assert f.evaluate((3,)) == Fraction(1, 2)
         with pytest.raises(EvaluationPoleError):
             f.evaluate((-1,))
+
+
+class TestQuoted:
+    def test_keeps_a_40_character_repr_whole_and_cuts_a_41_character_one(self):
+        forty, forty_one = "x" * 38, "x" * 39  # repr adds the two quotes
+        assert quoted(forty) == repr(forty)
+        assert quoted(forty_one) == repr(forty_one)[:40] + "..."
 
 
 class TestSerialization:
@@ -393,7 +415,7 @@ def reference_latex_number(value):
 
 
 def reference_render(poly, varnames, join, power_fmt, magnitude_fmt):
-    if poly.is_zero:
+    if not poly:
         return "0"
     names = tuple(varnames) if varnames else tuple(f"x{i}" for i in range(1, poly.arity + 1))
     pieces = []
@@ -487,11 +509,11 @@ def result_documents(draw):
     scale = draw(st.fractions(min_value=-9, max_value=9, max_denominator=300))
     if draw(st.booleans()):
         dim = draw(st.integers(2, 6))
-        return TransformResult(dim, scale, draw(wide_polys(dim)))
+        return TransformResult(scale, draw(wide_polys(dim)))
     dim = draw(st.integers(2, 3))
     step = st.fractions(min_value=Fraction(1, 99), max_value=99)
     params = TustinParams(dim, tuple(draw(st.lists(step, min_size=dim, max_size=dim))))
-    return LaplaceResult(dim, scale, draw(wide_polys(dim)), params)
+    return LaplaceResult(scale, draw(wide_polys(dim)), params)
 
 
 # Exact numbers past the cap where a document holds plain integers: the
@@ -500,7 +522,7 @@ def result_documents(draw):
 # beside the report at T = 1/2
 PAST_CAP_STEP = Fraction(1, 10**5000)
 PAST_CAP_RESULTS = (
-    TransformResult(2, PAST_CAP_STEP, factored_ztransform(2).body),
+    TransformResult(PAST_CAP_STEP, factored_ztransform(2).body),
     factored_laplace(2, TustinParams(2, (PAST_CAP_STEP,) * 2)),
     pole_zero_report_2d(TustinParams.uniform(2, "1/2")),
     pole_zero_report_2d(TustinParams.uniform(2, Fraction(1, 10**4300 - 1))),
@@ -595,3 +617,46 @@ class TestWriters:
         assert_same(result.to_json(), dumped(result))
         for poly in (result.body.num, result.body.den):
             assert_same(poly.to_text(result.varnames()), reference_text(poly, result.varnames()))
+
+
+def z_results():
+    for dim in range(2, 7):
+        for build in (brute_force_ztransform, determinant_ztransform, factored_ztransform):
+            yield pytest.param(functools.partial(build, dim), dim, id=f"{build.__name__}-{dim}")
+    yield pytest.param(compact_form_3d, 3, id="compact_form_3d")
+
+
+def s_results():
+    for dim in range(2, 6):
+        params = TustinParams(dim, ("1/2", "1", "3/2", "2", "5/2")[:dim])
+        for build in (laplace_determinant, factored_laplace):
+            yield pytest.param(
+                functools.partial(build, dim, params), dim, id=f"{build.__name__}-{dim}"
+            )
+    yield pytest.param(
+        functools.partial(laplace_2d_closed, TustinParams.uniform(2, "1/3")), 2, id="2d_closed"
+    )
+
+
+class TestDerivedShape:
+    """No field restates a dimension or a verdict; each is read off the value it counts."""
+
+    def test_fields(self):
+        def names(cls):
+            return tuple(f.name for f in dataclasses.fields(cls))
+
+        assert names(TransformResult) == ("scale", "body")
+        assert names(LaplaceResult) == ("scale", "numerator", "params")
+        assert names(CheckResult) == ("name", "details")
+        assert "dim" not in names(PoleZeroReport)
+
+    @pytest.mark.parametrize("build, dim", z_results())
+    def test_z_dim_is_the_body_arity(self, build, dim):
+        result = build()
+        assert result.dim == len(result.varnames()) == result.body.arity == dim
+
+    @pytest.mark.parametrize("build, dim", s_results())
+    def test_s_dim_is_the_numerator_arity(self, build, dim):
+        result = build()
+        assert result.dim == len(result.varnames()) == result.numerator.arity == dim
+        assert "body" not in vars(result)  # the pole product is not expanded for it

@@ -287,8 +287,8 @@ class TestVerify:
     def test_one_kernel_feeds_both_factored_forms(self, capsys, monkeypatch, argv):
         # both builders look up factored_moment_det; without prod_q a_q
         # neither factored form matches its determinant
-        def without_key_product(dim, keys):
-            return scale_constant(dim) * math.prod(
+        def without_key_product(keys):
+            return scale_constant(len(keys)) * math.prod(
                 a * b_i - a_i * b for j, (a, b) in enumerate(keys) for a_i, b_i in keys[:j]
             )
 
@@ -306,7 +306,7 @@ class TestVerify:
 
         monkeypatch.setattr(
             "zeps.cli.check_epsilon_formulas",
-            lambda dim: CheckResult("forced failure", False, ("mismatch at (1, 2)",)),
+            lambda dim: CheckResult("forced failure", ("mismatch at (1, 2)",)),
         )
         code, out, err = run(capsys, "verify", "--dim", "2", "--samples", "2")
         assert code == EXIT_VERIFY_FAILED
@@ -619,6 +619,13 @@ class TestDigitCap:
         assert code == EXIT_USAGE and out == ""
         assert f"int-to-str cap of {sys.get_int_max_str_digits()}" in err
         assert len(err) < 200
+
+    def test_a_coordinate_one_digit_past_the_cap_is_usage_error(self, capsys):
+        cap = sys.get_int_max_str_digits()
+        point = "9" * (cap + 1) + ",1"
+        code, out, err = run(capsys, "eval", "--domain", "z", "--dim", "2", "--point", point)
+        assert code == EXIT_USAGE and out == ""
+        assert f"exceeds Python's int-to-str cap of {cap} digits" in err
 
     def test_exponent_under_the_cap_is_read(self, capsys):
         code, out, _ = run(capsys, "report", "--dim", "2", "--T", "1e308", "--format", "json")

@@ -171,14 +171,11 @@ class TestFactoredForms:
             assert min(e for exps in exponents for e in exps) == 0
             assert body.den.terms.get((0,) * dim, 0) != 0
 
-    def test_s_defaults_to_unit_steps(self):
-        assert factored_laplace(2).params == TustinParams.uniform(2)
-
     def test_dimension_windows(self):
         with pytest.raises(UnsupportedDimensionError):
             factored_ztransform(7)
         with pytest.raises(UnsupportedDimensionError):
-            factored_laplace(6)
+            factored_laplace(6, TustinParams.uniform(6))
 
 
 def test_emit_builds_no_determinant(monkeypatch):
@@ -287,7 +284,7 @@ class TestFactoredFunctions:
     @pytest.mark.parametrize("dim", [1, 6])
     def test_s_dimension_window(self, dim):
         with pytest.raises(UnsupportedDimensionError):
-            factored_laplace_value((1,) * dim)
+            factored_laplace_value((1,) * dim, TustinParams.uniform(dim))
 
     def test_s_steps_must_match_point(self):
         with pytest.raises(InputDomainError):
@@ -327,8 +324,8 @@ class TestFactoredMomentDet:
         rng = random.Random(f"{kind.__name__}-{dim}")
         for _ in range(4):
             keys = [(key_part(rng, kind), key_part(rng, kind)) for _ in range(dim)]
-            factored = factored_moment_det(dim, keys)
-            assert factored == det(moment_matrix(dim, keys))
+            factored = factored_moment_det(keys)
+            assert factored == det(moment_matrix(len(keys), keys))
             assert type(factored) is kind
 
 

@@ -225,17 +225,14 @@ class TestLaplaceDeterminant:
 
     def test_vanishes_at_origin(self):
         for dim in (2, 3):
-            result = laplace_determinant(dim)
+            result = laplace_determinant(dim, TustinParams.uniform(dim))
             assert result.evaluate((0,) * dim) == 0
-
-    def test_default_params_are_uniform_one(self):
-        assert laplace_determinant(2).params == TustinParams.uniform(2)
 
     def test_dimension_window(self):
         with pytest.raises(UnsupportedDimensionError):
-            laplace_determinant(1)
+            laplace_determinant(1, TustinParams.uniform(1))
         with pytest.raises(UnsupportedDimensionError):
-            laplace_determinant(6)
+            laplace_determinant(6, TustinParams.uniform(6))
 
     def test_params_dimension_must_match(self):
         with pytest.raises(InputDomainError):
@@ -313,7 +310,7 @@ class TestLaplace2dClosed:
 
 class TestLaplaceCompact3d:
     def test_zero_at_origin(self):
-        assert laplace_compact_3d()((0, 0, 0)) == 0
+        assert laplace_compact_3d(TustinParams.uniform(3))((0, 0, 0)) == 0
 
     def test_pole_raises(self):
         evaluator = laplace_compact_3d(TustinParams.uniform(3, Fraction(1, 2)))
@@ -322,10 +319,10 @@ class TestLaplaceCompact3d:
 
     def test_wrong_arity_rejected(self):
         with pytest.raises(InputDomainError):
-            laplace_compact_3d()((0, 0))
+            laplace_compact_3d(TustinParams.uniform(3))((0, 0))
 
     def test_inter_dimensional_zero(self):
-        evaluator = laplace_compact_3d()
+        evaluator = laplace_compact_3d(TustinParams.uniform(3))
         assert evaluator((Fraction(1, 5), Fraction(1, 5), Fraction(1, 5))) == 0
 
     def test_matches_determinant_at_samples(self):
@@ -394,19 +391,19 @@ class TestLaplaceResultSurface:
         assert json_terms(data["denominator"]) == result.body.den.terms
 
     def test_latex_uses_factored_denominator(self):
-        latex = laplace_determinant(2).to_latex()
+        latex = laplace_determinant(2, TustinParams.uniform(2)).to_latex()
         assert "\\left(s_{1} + 2\\right)^{2}" in latex
         assert "\\left(s_{2} + 2\\right)^{2}" in latex
 
     def test_latex_scale_prefix_3d(self):
-        latex = laplace_determinant(3).to_latex()
+        latex = laplace_determinant(3, TustinParams.uniform(3)).to_latex()
         assert latex.startswith("\\frac{1}{2}")
         assert "\\left(s_{3} + 2\\right)^{3}" in latex
 
     def test_repr_reads_as_the_dataclass_repr(self):
         result = laplace_determinant(2, TustinParams(2, (1, Fraction(1, 2))))
         assert repr(result) == (
-            f"LaplaceResult(dim=2, scale=Fraction(1, 1), numerator={result.numerator!r}, "
+            f"LaplaceResult(scale=Fraction(1, 1), numerator={result.numerator!r}, "
             "params=TustinParams(dim=2, steps=(Fraction(1, 1), Fraction(1, 2))))"
         )
 
@@ -414,7 +411,7 @@ class TestLaplaceResultSurface:
         step = Fraction(1, 10**5000)
         result = laplace_determinant(2, TustinParams(2, (step, 1)))
         text = repr(replace(result, scale=step))
-        assert text.startswith(f"LaplaceResult(dim=2, scale=Fraction(1, 1{'0' * 5000}), ")
+        assert text.startswith(f"LaplaceResult(scale=Fraction(1, 1{'0' * 5000}), ")
         assert text.endswith(f"steps=(Fraction(1, 1{'0' * 5000}), Fraction(1, 1))))")
 
     def test_latex_non_uniform_steps(self):

@@ -255,14 +255,14 @@ class TestTransformResultSurface:
     def test_repr_reads_as_the_dataclass_repr(self):
         result = determinant_ztransform(3)
         assert repr(result) == (
-            f"TransformResult(dim=3, scale=Fraction(1, 2), body={result.body!r})"
+            f"TransformResult(scale=Fraction(1, 2), body={result.body!r})"
         )
 
     def test_repr_past_the_digit_cap(self):
         # Fraction's own repr raises past Python's int-to-str cap
         body = determinant_ztransform(2).body
-        text = repr(TransformResult(2, Fraction(1, 10**5000), body))
-        assert text == f"TransformResult(dim=2, scale=Fraction(1, 1{'0' * 5000}), body={body!r})"
+        text = repr(TransformResult(Fraction(1, 10**5000), body))
+        assert text == f"TransformResult(scale=Fraction(1, 1{'0' * 5000}), body={body!r})"
 
     def test_evaluate_applies_scale(self):
         result = determinant_ztransform(3)
