@@ -40,9 +40,11 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_EVALUATION = 3
 
-# What each --domain names: its dimension window, its builder and its evaluator.
+# What each --domain names: its dimension window, its builder of the steps and its
+# evaluator of a point and the steps.
 DOMAINS = {
-    "z": (MAX_DIM, lambda dim, _: factored_ztransform(dim), lambda point, _: factored_value(point)),
+    "z": (MAX_DIM, lambda params: factored_ztransform(params.dim),
+          lambda point, _: factored_value(point)),
     "s": (MAX_LAPLACE_DIM, factored_laplace, factored_laplace_value),
 }
 
@@ -94,7 +96,7 @@ def _parse_point(text: str, dim: int) -> tuple:
 def cmd_emit(args) -> tuple[int, Iterable[str]]:
     """The built result's ``--format`` writer: its pieces, rendered as ``main`` writes them."""
     high, build, _ = DOMAINS[args.domain]
-    result = build(args.dim, _window_then_steps(args, high))
+    result = build(_window_then_steps(args, high))
     return EXIT_OK, getattr(result, f"{args.format}_pieces")()
 
 
@@ -114,7 +116,7 @@ def cmd_verify(args) -> tuple[int, Iterable[str]]:
     checks = [check_epsilon_formulas(args.dim), check_determinant_oracle(args.dim)]
     lines = []
     if args.dim <= MAX_LAPLACE_DIM:
-        checks.append(check_tustin_consistency(args.dim, params, args.samples, args.seed))
+        checks.append(check_tustin_consistency(params, args.samples, args.seed))
     else:
         lines.append(
             f"SKIP: bilinear substitution consistency "

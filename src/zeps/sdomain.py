@@ -152,15 +152,15 @@ def _denominator_product(params: TustinParams) -> LaurentPoly:
     return math.prod(v**params.dim for _, v in _tustin_keys(params.steps))
 
 
-def r_sum(dim: int, p: int, q: int, params: TustinParams) -> RationalFn:
+def r_sum(p: int, q: int, params: TustinParams) -> RationalFn:
     """Bilinear image of the power-moment sum:
-    R(p, q) = sum_{r=1}^{dim} ((2 - T_q s_q)/(2 + T_q s_q))^r r^p.
+    R(p, q) = sum_{r=1}^{dim} ((2 - T_q s_q)/(2 + T_q s_q))^r r^p, dim = params.dim.
 
     Assembled over the common denominator (2 + T_q s_q)^dim, so the
     numerator is sum_r r^p (2 - T_q s_q)^r (2 + T_q s_q)^(dim - r), the
     ``moment_matrix`` entry for Tustin's key.
     """
-    params = _laplace_params(dim, params)
+    dim = _laplace_dim(params)
     require_moment(dim, p, q)
     key = _tustin_keys(params.steps)[q - 1]
     return RationalFn(moment_matrix(dim, [key])[p][0], key[1] ** dim)
@@ -172,7 +172,8 @@ class LaplaceResult(ScaledForm):
 
     Every Laplace form divides by the pole product
     prod_q (2 + T_q s_q)^dim, which the steps alone determine, so a
-    result stores only its numerator and ``params``.  ``body`` is the
+    result stores only its numerator and ``params``, whose dimension must
+    be the numerator's arity and lie in the Laplace window.  ``body`` is the
     :class:`RationalFn` over the expanded pole product, built on its
     first read; its denominator vanishes only on the hyperplanes
     T_q s_q = -2.
@@ -182,6 +183,9 @@ class LaplaceResult(ScaledForm):
     params: TustinParams
 
     prefix: ClassVar[str] = "s"
+
+    def __post_init__(self):
+        _steps_for(self.numerator.arity, self.params)
 
     @property
     def dim(self) -> int:
@@ -212,17 +216,20 @@ class LaplaceResult(ScaledForm):
         }
 
 
-def _laplace_params(dim: int, params: TustinParams) -> TustinParams:
-    """The steps for a Laplace form of ``dim``, after checking its window."""
-    require_dim(dim, MAX_LAPLACE_DIM)
-    if params.dim != dim:
-        raise InputDomainError(
-            f"step constants are for dimension {params.dim}, expected {dim}"
-        )
+def _laplace_dim(params: TustinParams) -> int:
+    """The dimension of the Laplace forms over ``params``, after checking its window."""
+    require_dim(params.dim, MAX_LAPLACE_DIM)
+    return params.dim
+
+
+def _steps_for(dim: int, params: TustinParams) -> TustinParams:
+    """``params``, checked to hold one step for each of ``dim`` coordinates."""
+    if _laplace_dim(params) != dim:
+        raise InputDomainError(f"step constants are for dimension {params.dim}, expected {dim}")
     return params
 
 
-def laplace_determinant(dim: int, params: TustinParams) -> LaplaceResult:
+def laplace_determinant(params: TustinParams) -> LaplaceResult:
     """Laplace-domain transform as the scaled determinant over R(p, q) entries.
 
     Exactly the Z-domain determinant with every moment sum replaced by
@@ -232,23 +239,22 @@ def laplace_determinant(dim: int, params: TustinParams) -> LaplaceResult:
     ``moment_matrix`` numerators for Tustin's keys and divided once by
     the pole product.
     """
-    params = _laplace_params(dim, params)
+    dim = _laplace_dim(params)
     numerators = moment_matrix(dim, _tustin_keys(params.steps))
     return LaplaceResult(Fraction(1, scale_constant(dim)), det(numerators), params)
 
 
-def factored_laplace(dim: int, params: TustinParams) -> LaplaceResult:
+def factored_laplace(params: TustinParams) -> LaplaceResult:
     """The Laplace determinant's closed form: ``factored_moment_det`` over its keys.
 
     The numerator determinant of ``laplace_determinant`` is taken over
     ``moment_matrix`` for Tustin's keys (2 - T_q s_q, 2 + T_q s_q), so its
     Vandermonde factors come from the same keys.  The result equals
-    ``laplace_determinant(dim, params)`` term for term: same scale, same
+    ``laplace_determinant(params)`` term for term: same scale, same
     numerator, same pole product.
     """
-    params = _laplace_params(dim, params)
-    numerator = factored_moment_det(_tustin_keys(params.steps))
-    return LaplaceResult(Fraction(1, scale_constant(dim)), numerator, params)
+    scale = Fraction(1, scale_constant(_laplace_dim(params)))
+    return LaplaceResult(scale, factored_moment_det(_tustin_keys(params.steps)), params)
 
 
 def _bilinear_images(coords: Sequence, params: TustinParams) -> list:
@@ -272,12 +278,12 @@ def factored_laplace_value(point: Sequence, params: TustinParams) -> "Fraction |
     Tustin's map sends z_q^{-1} to w_q = (2 - T_q s_q)/(2 + T_q s_q),
     so the image is the Z-domain product prod_q w_q prod_{i<j} (w_j - w_i)
     in O(N^2) operations.  It equals
-    ``laplace_determinant(N, params).evaluate(point)`` exactly at exact
+    ``laplace_determinant(params).evaluate(point)`` exactly at exact
     points, and avoids the cancellation between the expanded terms at
     complex ones.
     """
     coords = tuple(point)
-    return vandermonde(_bilinear_images(coords, _laplace_params(len(coords), params)))
+    return vandermonde(_bilinear_images(coords, _steps_for(len(coords), params)))
 
 
 def _single_2d_step(params: TustinParams, form: str) -> Fraction:
@@ -294,7 +300,7 @@ def laplace_2d_closed(params: TustinParams) -> LaplaceResult:
 
         4T (s1 - s2) (T s1 - 2)(T s2 - 2) / ((T s1 + 2)^2 (T s2 + 2)^2)
 
-    Equal to the body of ``laplace_determinant(2, params)`` term for term.
+    Equal to the body of ``laplace_determinant(params)`` term for term.
     """
     step = _single_2d_step(params, "closed 2-D form")
     s1 = LaurentPoly.variable(2, 1)
@@ -318,9 +324,9 @@ def laplace_compact_3d(params: TustinParams) -> Callable:
     with w_q = (2 - T_q s_q)/(2 + T_q s_q).  The sums over r1, r2, r3
     are the moment sums of the keys (w_q, 1), so it is evaluated as
     ``compact_sum_3d`` over those numeric moments; it agrees with
-    ``laplace_determinant(3, params)`` at every nonsingular point.
+    ``laplace_determinant(params)`` at every nonsingular point.
     """
-    params = _laplace_params(3, params)
+    params = _steps_for(3, params)
 
     def evaluate(point: Sequence) -> "Fraction | complex":
         coords = tuple(point)

@@ -26,7 +26,7 @@ from .algebra import LaurentPoly, rational_text
 from .epsilon import _parity, _product_value, enumerate_indices
 from .sdomain import (
     TustinParams,
-    _laplace_params,
+    _laplace_dim,
     factored_laplace,
     factored_laplace_value,
     laplace_determinant,
@@ -179,7 +179,7 @@ def _binomial_pole_product(params: TustinParams) -> LaurentPoly:
 
 
 def check_tustin_consistency(
-    dim: int, params: TustinParams, samples: int = 100, seed: int = 0
+    params: TustinParams, samples: int = 100, seed: int = 0
 ) -> CheckResult:
     """Factored Laplace form vs the Laplace determinant, then the bilinear map.
 
@@ -206,16 +206,16 @@ def check_tustin_consistency(
     catastrophically under floating point, which is why no float point
     is sampled.)
     """
+    dim = _laplace_dim(params)
     z_form = factored_ztransform(dim)
-    params = _laplace_params(dim, params)
     # compared before the Laplace forms are built, so less is live beside its two
     # expansions; the expansion is looked up on ``sdomain``, the one ``emit`` writes
     pole_mismatch = _mismatches((
         ("pole product", sdomain._denominator_product(params)),
         ("its binomial expansion", _binomial_pole_product(params)),
     ))
-    s_form = laplace_determinant(dim, params)
-    factored = factored_laplace(dim, params)
+    s_form = laplace_determinant(params)
+    factored = factored_laplace(params)
     rng = random.Random(seed)
     failures = []
     if factored != s_form:

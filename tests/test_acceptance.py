@@ -112,11 +112,11 @@ def test_criterion_06_two_dimensional_laplace_identity():
     ok = True
     for step in (Fraction(1), Fraction(1, 2), Fraction(3)):
         params = TustinParams.uniform(2, step)
-        determinant = laplace_determinant(2, params)
+        determinant = laplace_determinant(params)
         closed = laplace_2d_closed(params)
         ok = ok and determinant.scale == 1 and determinant.body == closed.body
     params = TustinParams.uniform(2)
-    determinant = laplace_determinant(2, params)
+    determinant = laplace_determinant(params)
     closed = laplace_2d_closed(params)
     rng = random.Random(2026)
     for _ in range(100):
@@ -133,7 +133,7 @@ def test_criterion_06_two_dimensional_laplace_identity():
 def test_criterion_07_three_dimensional_laplace_consistency():
     start = time.perf_counter()
     params = TustinParams.uniform(3)
-    determinant = laplace_determinant(3, params)
+    determinant = laplace_determinant(params)
     compact = laplace_compact_3d(params)
     z_form = determinant_ztransform(3)
     rng = random.Random(7)
@@ -215,7 +215,7 @@ def test_criterion_11_pole_zero_report_2d():
         and rep.intra_zeros == ((Fraction(2), 1), (Fraction(2), 1))
         and rep.inter_zeros == ("s1 = s2",)
     )
-    transform = laplace_determinant(2, params)
+    transform = laplace_determinant(params)
     rng = random.Random(31)
     for _ in range(10):
         shared = Fraction(rng.randint(-9, 9), rng.randint(1, 5))

@@ -49,7 +49,7 @@ class TestEmit:
         )
         assert code == EXIT_OK
         data = json.loads(out)
-        body = laplace_determinant(2, TustinParams.uniform(2)).body
+        body = laplace_determinant(TustinParams.uniform(2)).body
         assert json_terms(data["numerator"]) == body.num.terms
         assert json_terms(data["denominator"]) == body.den.terms
 
@@ -106,7 +106,7 @@ class TestStreamedOutput:
         assert run(capsys, "emit", "--domain", "z", "--dim", "3") == (code, "1/2 * (", message)
 
     def test_a_failed_build_writes_nothing(self, capsys, monkeypatch):
-        def failing(dim, params):
+        def failing(params):
             raise InputDomainError("planted")
 
         monkeypatch.setitem(zeps.cli.DOMAINS, "z", (6, failing, None))
@@ -229,8 +229,8 @@ class TestVerify:
         def one_power_too_many(params):
             return math.prod(v ** (params.dim + 1) for _, v in _tustin_keys(params.steps))
 
-        def skewed(dim, params=None):
-            result = laplace_determinant(dim, params)
+        def skewed(params):
+            result = laplace_determinant(params)
             return replace(result, scale=2 * result.scale)
 
         argv = ("verify", "--dim", "4", "--T", "1e500", "--samples", "1")
@@ -326,9 +326,9 @@ class TestVerify:
         assert "factored differs from determinant in 24 monomials" in err
 
     def test_wrong_power_of_4_in_factored_s_form_fails(self, capsys, monkeypatch):
-        def off_by_a_power(dim, params=None):
-            result = factored_laplace(dim, params)
-            if dim != 4:
+        def off_by_a_power(params):
+            result = factored_laplace(params)
+            if params.dim != 4:
                 return result
             return replace(result, numerator=4 * result.numerator)
 
@@ -592,7 +592,7 @@ class TestLongIntegers:
         data = json.loads(out)
         terms = data["numerator"]["terms"] + data["denominator"]["terms"]
         assert max(len(term["num"]) for term in terms) > sys.get_int_max_str_digits()
-        body = laplace_determinant(4, TustinParams.uniform(4, step)).body
+        body = laplace_determinant(TustinParams.uniform(4, step)).body
         assert json_terms(data["numerator"]) == body.num.terms
         assert json_terms(data["denominator"]) == body.den.terms
 

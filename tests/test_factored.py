@@ -140,15 +140,21 @@ class TestFactoredForms:
     @pytest.mark.parametrize("dim", range(2, 7))
     def test_z_equals_determinant_term_for_term(self, dim):
         factored, oracle = factored_ztransform(dim), z_determinant(dim)
+        brute_force = brute_force_ztransform(dim)
+        for result in (factored, oracle, brute_force):
+            assert result.dim == len(result.varnames()) == result.body.arity == dim
         assert factored.scale == oracle.scale
         assert factored.body.terms == oracle.body.terms
-        assert factored.expanded() == brute_force_ztransform(dim).expanded()
+        assert factored.expanded() == brute_force.expanded()
 
     @pytest.mark.parametrize("uniform", [True, False], ids=["T=1", "T=1/3,1,5/3"])
     @pytest.mark.parametrize("dim", range(2, 6))
     def test_s_equals_determinant_term_for_term(self, dim, uniform):
         params = TustinParams.uniform(dim) if uniform else steps(dim)
-        factored, oracle = factored_laplace(dim, params), s_determinant(dim, params)
+        factored, oracle = factored_laplace(params), s_determinant(params)
+        for result in (factored, oracle):
+            assert result.dim == len(result.varnames()) == result.numerator.arity == dim
+        assert "body" not in vars(factored)  # the pole product is not expanded for dim
         assert factored.scale == oracle.scale and factored.params == oracle.params
         assert factored.body.num.terms == oracle.body.num.terms
         assert factored.body.den.terms == oracle.body.den.terms
@@ -160,8 +166,8 @@ class TestFactoredForms:
         # monomial common to them would change nothing here: no exponent
         # is negative, and every denominator has a nonzero constant term.
         params = TustinParams.uniform(dim) if uniform else steps(dim)
-        bodies = [factored_laplace(dim, params).body, s_determinant(dim, params).body]
-        bodies += [r_sum(dim, p, q, params) for p in range(dim) for q in range(1, dim + 1)]
+        bodies = [factored_laplace(params).body, s_determinant(params).body]
+        bodies += [r_sum(p, q, params) for p in range(dim) for q in range(1, dim + 1)]
         if dim == 2 and uniform:
             bodies += [
                 laplace_2d_closed(TustinParams.uniform(2, t)).body for t in (1, Fraction(2, 3))
@@ -175,7 +181,7 @@ class TestFactoredForms:
         with pytest.raises(UnsupportedDimensionError):
             factored_ztransform(7)
         with pytest.raises(UnsupportedDimensionError):
-            factored_laplace(6, TustinParams.uniform(6))
+            factored_laplace(TustinParams.uniform(6))
 
 
 def test_emit_builds_no_determinant(monkeypatch):
@@ -214,7 +220,7 @@ class TestExactEquality:
     @pytest.mark.parametrize("dim", range(2, 6))
     def test_s_matches_determinant(self, dim):
         params = steps(dim)
-        form = s_determinant(dim, params)
+        form = s_determinant(params)
         rng = random.Random(dim)
         for _ in range(3):
             point = rational_point(rng, dim, avoid=lambda q, c: params.steps[q] * c == -2)

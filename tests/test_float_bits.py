@@ -144,8 +144,8 @@ def test_laplace_compact_3d(sampler):
     [
         factored_ztransform(3),
         factored_ztransform(4),
-        laplace_determinant(3, TustinParams(3, STEPS[:3])),
-        factored_laplace(4, TustinParams(4, STEPS[:4])),
+        laplace_determinant(TustinParams(3, STEPS[:3])),
+        factored_laplace(TustinParams(4, STEPS[:4])),
     ],
     ids=["z3", "z4", "s3", "s4"],
 )
@@ -157,8 +157,8 @@ def test_scaled_form_evaluate(form):
         assert_same(form.evaluate(point), expected)
 
 
-S3 = laplace_determinant(3, TustinParams(3, STEPS[:3]))
-S4 = factored_laplace(4, TustinParams(4, STEPS[:4]))
+S3 = laplace_determinant(TustinParams(3, STEPS[:3]))
+S4 = factored_laplace(TustinParams(4, STEPS[:4]))
 
 
 @pytest.mark.parametrize("sampler", [complex_point, extreme_point, float_point],

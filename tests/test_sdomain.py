@@ -139,19 +139,19 @@ class TestTustinMap:
 class TestRSum:
     def test_value_at_origin(self):
         # every summand is 1 at s = 0
-        value = r_sum(2, 0, 1, TustinParams.uniform(2)).evaluate((0, 0))
+        value = r_sum(0, 1, TustinParams.uniform(2)).evaluate((0, 0))
         assert value == 2
 
     def test_vanishes_where_forward_factor_does(self):
         # T s = 2 makes every summand vanish
         params = TustinParams.uniform(3, Fraction(1, 2))
-        value = r_sum(3, 0, 2, params).evaluate((1, 4, 1))
+        value = r_sum(0, 2, params).evaluate((1, 4, 1))
         assert value == 0
 
     @pytest.mark.parametrize("p", [0, 1, 2])
     def test_matches_moment_sum_through_the_map(self, p):
         params = TustinParams.uniform(3)
-        fn = r_sum(3, p, 2, params)
+        fn = r_sum(p, 2, params)
         moment = s_sum(3, p, 2)
         rng = random.Random(17)
         for _ in range(25):
@@ -162,11 +162,9 @@ class TestRSum:
     def test_range_validation(self):
         params = TustinParams.uniform(3)
         with pytest.raises(InputDomainError):
-            r_sum(3, 3, 1, params)
+            r_sum(3, 1, params)
         with pytest.raises(InputDomainError):
-            r_sum(3, 0, 4, params)
-        with pytest.raises(InputDomainError):
-            r_sum(2, 0, 1, params)  # params built for dim 3
+            r_sum(0, 4, params)
 
     @pytest.mark.parametrize("p", [0, 1, 2])
     @pytest.mark.parametrize("step", [Fraction(1), Fraction(2, 3)])
@@ -179,7 +177,7 @@ class TestRSum:
             (2**p) * (x * x - 4) - (3**p) * (x - 2) ** 2 - (x + 2) ** 2
         )
         denominator = (x + 2) ** 3
-        assert r_sum(3, p, 1, params) == RationalFn(numerator, denominator)
+        assert r_sum(p, 1, params) == RationalFn(numerator, denominator)
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 5])
     def test_matches_literal_sum_for_every_entry(self, dim):
@@ -192,7 +190,7 @@ class TestRSum:
                 numerator = LaurentPoly(dim)
                 for r in range(1, dim + 1):
                     numerator = numerator + r**p * (2 - ts) ** r * (2 + ts) ** (dim - r)
-                fn = r_sum(dim, p, q, params)
+                fn = r_sum(p, q, params)
                 assert fn.num == numerator
                 assert fn.den == (2 + ts) ** dim
 
@@ -210,7 +208,7 @@ class TestLaplaceDeterminant:
     @pytest.mark.parametrize("step", [Fraction(1), Fraction(1, 2), Fraction(3)])
     def test_two_dimensional_closed_form(self, step):
         params = TustinParams.uniform(2, step)
-        result = laplace_determinant(2, params)
+        result = laplace_determinant(params)
         assert result.scale == 1
         assert result.body == closed_form_2d(step)
 
@@ -218,29 +216,25 @@ class TestLaplaceDeterminant:
         # the 2x2 determinant written out entry by entry: column q of the
         # matrix shares the denominator (2 + s_q)^2
         params = TustinParams.uniform(2)
-        r01, r02 = r_sum(2, 0, 1, params), r_sum(2, 0, 2, params)
-        r11, r12 = r_sum(2, 1, 1, params), r_sum(2, 1, 2, params)
+        r01, r02 = r_sum(0, 1, params), r_sum(0, 2, params)
+        r11, r12 = r_sum(1, 1, params), r_sum(1, 2, params)
         combination = RationalFn(r01.num * r12.num - r11.num * r02.num, r01.den * r12.den)
         assert combination == closed_form_2d(Fraction(1))
 
     def test_vanishes_at_origin(self):
         for dim in (2, 3):
-            result = laplace_determinant(dim, TustinParams.uniform(dim))
+            result = laplace_determinant(TustinParams.uniform(dim))
             assert result.evaluate((0,) * dim) == 0
 
     def test_dimension_window(self):
         with pytest.raises(UnsupportedDimensionError):
-            laplace_determinant(1, TustinParams.uniform(1))
+            laplace_determinant(TustinParams.uniform(1))
         with pytest.raises(UnsupportedDimensionError):
-            laplace_determinant(6, TustinParams.uniform(6))
-
-    def test_params_dimension_must_match(self):
-        with pytest.raises(InputDomainError):
-            laplace_determinant(3, TustinParams.uniform(2))
+            laplace_determinant(TustinParams.uniform(6))
 
     def test_denominator_is_pole_product_2d(self):
         params = TustinParams(2, (Fraction(1), Fraction(1, 3)))
-        result = laplace_determinant(2, params)
+        result = laplace_determinant(params)
         assert result.body.den == _denominator_product(params)
 
     @pytest.mark.parametrize(
@@ -261,7 +255,7 @@ class TestLaplaceDeterminant:
 
     def test_pole_confinement_3d_by_sampling(self):
         params = TustinParams(3, (Fraction(1), Fraction(2), Fraction(1, 2)))
-        body = laplace_determinant(3, params).body
+        body = laplace_determinant(params).body
         rng = random.Random(8)
         for _ in range(50):
             point = random_s_point(rng, params)
@@ -278,7 +272,7 @@ class TestLaplaceDeterminant:
             else TustinParams(3, (Fraction(1), Fraction(1, 2), Fraction(2)))
         )
         z_form = determinant_ztransform(dim)
-        s_form = laplace_determinant(dim, params)
+        s_form = laplace_determinant(params)
         rng = random.Random(101)
         for _ in range(100):
             point = random_s_point(rng, params)
@@ -291,7 +285,7 @@ class TestLaplaceDeterminant:
 class TestLaplace2dClosed:
     def test_matches_determinant(self):
         params = TustinParams.uniform(2)
-        assert laplace_2d_closed(params).body == laplace_determinant(2, params).body
+        assert laplace_2d_closed(params).body == laplace_determinant(params).body
 
     def test_inter_dimensional_zero(self):
         result = laplace_2d_closed(TustinParams.uniform(2))
@@ -328,7 +322,7 @@ class TestLaplaceCompact3d:
     def test_matches_determinant_at_samples(self):
         params = TustinParams(3, (Fraction(1), Fraction(3), Fraction(1, 4)))
         evaluator = laplace_compact_3d(params)
-        determinant = laplace_determinant(3, params)
+        determinant = laplace_determinant(params)
         rng = random.Random(55)
         for _ in range(25):
             point = random_s_point(rng, params)
@@ -382,7 +376,7 @@ class TestPoleZeroReport:
 class TestLaplaceResultSurface:
     def test_json_shape(self, json_terms):
         params = TustinParams.uniform(2, Fraction(1, 2))
-        result = laplace_determinant(2, params)
+        result = laplace_determinant(params)
         data = json.loads(json.dumps(result.to_json_dict()))
         assert data["dim"] == 2
         assert data["T"] == [{"num": 1, "den": 2}, {"num": 1, "den": 2}]
@@ -391,17 +385,17 @@ class TestLaplaceResultSurface:
         assert json_terms(data["denominator"]) == result.body.den.terms
 
     def test_latex_uses_factored_denominator(self):
-        latex = laplace_determinant(2, TustinParams.uniform(2)).to_latex()
+        latex = laplace_determinant(TustinParams.uniform(2)).to_latex()
         assert "\\left(s_{1} + 2\\right)^{2}" in latex
         assert "\\left(s_{2} + 2\\right)^{2}" in latex
 
     def test_latex_scale_prefix_3d(self):
-        latex = laplace_determinant(3, TustinParams.uniform(3)).to_latex()
+        latex = laplace_determinant(TustinParams.uniform(3)).to_latex()
         assert latex.startswith("\\frac{1}{2}")
         assert "\\left(s_{3} + 2\\right)^{3}" in latex
 
     def test_repr_reads_as_the_dataclass_repr(self):
-        result = laplace_determinant(2, TustinParams(2, (1, Fraction(1, 2))))
+        result = laplace_determinant(TustinParams(2, (1, Fraction(1, 2))))
         assert repr(result) == (
             f"LaplaceResult(scale=Fraction(1, 1), numerator={result.numerator!r}, "
             "params=TustinParams(dim=2, steps=(Fraction(1, 1), Fraction(1, 2))))"
@@ -409,13 +403,13 @@ class TestLaplaceResultSurface:
 
     def test_repr_past_the_digit_cap(self):
         step = Fraction(1, 10**5000)
-        result = laplace_determinant(2, TustinParams(2, (step, 1)))
+        result = laplace_determinant(TustinParams(2, (step, 1)))
         text = repr(replace(result, scale=step))
         assert text.startswith(f"LaplaceResult(scale=Fraction(1, 1{'0' * 5000}), ")
         assert text.endswith(f"steps=(Fraction(1, 1{'0' * 5000}), Fraction(1, 1))))")
 
     def test_latex_non_uniform_steps(self):
         params = TustinParams(2, (Fraction(1), Fraction(1, 2)))
-        latex = laplace_determinant(2, params).to_latex()
+        latex = laplace_determinant(params).to_latex()
         assert "\\left(s_{1} + 2\\right)^{2}" in latex
         assert "\\left(\\frac{1}{2} s_{2} + 2\\right)^{2}" in latex

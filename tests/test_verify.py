@@ -71,12 +71,12 @@ class TestChecks:
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 5])
     def test_tustin_check_passes(self, dim):
-        result = check_tustin_consistency(dim, TustinParams.uniform(dim), samples=10, seed=11)
+        result = check_tustin_consistency(TustinParams.uniform(dim), samples=10, seed=11)
         assert result.passed, result.details
 
     def test_tustin_check_with_mixed_steps(self):
         params = TustinParams(3, (Fraction(1), Fraction(1, 2), Fraction(3)))
-        result = check_tustin_consistency(3, params, samples=20, seed=2)
+        result = check_tustin_consistency(params, samples=20, seed=2)
         assert result.passed, result.details
 
     def test_tustin_check_reports_a_planted_relative_mismatch_of_1e_12(self, monkeypatch):
@@ -84,12 +84,12 @@ class TestChecks:
         # tolerance is still a failure
         build = laplace_determinant
 
-        def skewed(dim, params):
-            result = build(dim, params)
+        def skewed(params):
+            result = build(params)
             return replace(result, scale=result.scale * Fraction(10**12 + 1, 10**12))
 
         monkeypatch.setattr("zeps.verify.laplace_determinant", skewed)
-        result = check_tustin_consistency(3, TustinParams.uniform(3), samples=3, seed=1)
+        result = check_tustin_consistency(TustinParams.uniform(3), samples=3, seed=1)
         assert not result.passed
         # the factored form no longer matches either, and every point fails
         assert result.details[0] == "factored Laplace form differs from the Laplace determinant"
@@ -98,12 +98,12 @@ class TestChecks:
     def test_tustin_check_writes_the_failing_point_as_rationals(self, monkeypatch):
         build = laplace_determinant
 
-        def skewed(dim, params):
-            result = build(dim, params)
+        def skewed(params):
+            result = build(params)
             return replace(result, scale=result.scale * 2)
 
         monkeypatch.setattr("zeps.verify.laplace_determinant", skewed)
-        result = check_tustin_consistency(3, TustinParams.uniform(3), samples=4, seed=3)
+        result = check_tustin_consistency(TustinParams.uniform(3), samples=4, seed=3)
         lines = [line for line in result.details if line.startswith("at s=")]
         assert len(lines) == 4
         # the check draws its points from the seed in this order
@@ -125,12 +125,12 @@ class TestChecks:
         else:
             build = laplace_determinant
 
-            def skewed(dim, params):
-                result = build(dim, params)
+            def skewed(params):
+                result = build(params)
                 return replace(result, scale=2 * result.scale)
 
             monkeypatch.setattr("zeps.verify.laplace_determinant", skewed)
-            result = check_tustin_consistency(3, TustinParams.uniform(3), samples=25, seed=1)
+            result = check_tustin_consistency(TustinParams.uniform(3), samples=25, seed=1)
             expected = ("factored Laplace form differs from the Laplace determinant",)
             expected += tuple(line for line in result.details if line.startswith("at s="))
         assert not result.passed
