@@ -34,10 +34,8 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
-from typing import ClassVar
 
 from .errors import (
     DegenerateDenominatorError,
@@ -93,8 +91,8 @@ def quoted(value) -> str:
 
 
 def exact_repr(self) -> str:
-    """The ``repr`` a dataclass generates, with each rational's digits written by
-    ``int_text``: the same text for short values, and no digit cap on long ones."""
+    """``Type(field=value, ...)`` over a record's fields, each rational's digits written by
+    ``int_text``: ``repr``'s text for short values, and no digit cap on long ones."""
 
     def shown(value) -> str:
         if isinstance(value, tuple):
@@ -103,8 +101,48 @@ def exact_repr(self) -> str:
             return f"Fraction({int_text(value.numerator)}, {int_text(value.denominator)})"
         return repr(value)
 
-    items = (f"{field.name}={shown(getattr(self, field.name))}" for field in fields(self))
+    items = (f"{name}={shown(getattr(self, name))}" for name in self._fields)
     return f"{type(self).__qualname__}({', '.join(items)})"
+
+
+class Record:
+    """An immutable record over the fields its class annotates, after its bases' fields.
+
+    It is built from the fields' values, by position or by keyword, and
+    then checked by ``__post_init__``.  Two records are equal when their
+    types are the same and their fields equal; the hash is the fields'.
+    Assigning an attribute raises :class:`AttributeError`.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._fields += tuple(cls.__annotations__)
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if len(args) + len(kwargs) != len(names) or not set(kwargs) <= set(names[len(args):]):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
+        self.__dict__.update(zip(names, args), **kwargs)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} instances are immutable")
+
+    __delattr__ = __setattr__
+    __repr__ = exact_repr
 
 
 _EXPONENT = re.compile(r"\s*[-+]?[\d_.]*[eE][-+]?([\d_]+)\s*")
@@ -741,8 +779,7 @@ class LaurentPoly:
     __str__ = to_text
 
 
-@dataclass(frozen=True)
-class RationalFn:
+class RationalFn(Record):
     """A Laplace-domain body: numerator ``num`` over denominator ``den``.
 
     An immutable pair, kept as built: no arithmetic, no normal form.
@@ -870,6 +907,24 @@ def difference_product(xs: Iterable):
     return math.prod(differences(xs))
 
 
+# Past this, CPython's complex division overflows inside its own denominator.
+_HALF_FLOAT_MAX = sys.float_info.max / 2
+
+
+def quotient(top, bottom):
+    """``top / bottom``, with a complex ``bottom`` past half the float maximum first scaled.
+
+    CPython divides complex values by Smith's method, whose denominator
+    reaches twice ``bottom``'s larger part: ``1 / (1e308+1e308j)`` reads
+    ``-0j``.  There both sides are divided by 4, which is exact, so the
+    quotient is the one the unscaled division would give without overflow;
+    any other pair is divided as it is.
+    """
+    if isinstance(bottom, complex) and max(abs(bottom.real), abs(bottom.imag)) > _HALF_FLOAT_MAX:
+        top, bottom = (complex(z.real / 4, z.imag / 4) for z in (complex(top), bottom))
+    return top / bottom
+
+
 def vandermonde(xs: Sequence) -> "Fraction | complex":
     """prod_q x_q * prod_{i<j} (x_j - x_i), in O(N^2) operations.
 
@@ -883,8 +938,7 @@ def vandermonde(xs: Sequence) -> "Fraction | complex":
     return difference_product([0, *values])
 
 
-@dataclass(frozen=True)
-class ScaledForm:
+class ScaledForm(Record):
     """A closed form ``scale * body`` in the variables ``<prefix>1..<prefix>dim``.
 
     Each domain subclasses this with its ``body`` (a :class:`LaurentPoly`
@@ -895,9 +949,7 @@ class ScaledForm:
 
     scale: Fraction
 
-    prefix: ClassVar[str] = "x"
-
-    __repr__ = exact_repr
+    prefix = "x"
 
     @property
     def dim(self) -> int:

@@ -21,10 +21,10 @@ through it.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Iterator, Sequence
 
 from .algebra import EXACT_SCALARS, difference_product, differences
 from .errors import (

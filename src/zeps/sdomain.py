@@ -22,23 +22,23 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, ClassVar, Iterator, Sequence
 
 from .algebra import (
     EXACT_SCALARS,
     LATEX_FRACTION,
     LaurentPoly,
     RationalFn,
+    Record,
     ScaledForm,
     det,
-    exact_repr,
     json_number,
     json_pieces,
     laid_out,
     quoted,
+    quotient,
     rational_text,
     read_rational,
     vandermonde,
@@ -69,14 +69,11 @@ def _as_step(value) -> Fraction:
     return step
 
 
-@dataclass(frozen=True)
-class TustinParams:
+class TustinParams(Record):
     """Per-dimension positive step constants T_q for the bilinear map."""
 
     dim: int
     steps: tuple[Fraction, ...]
-
-    __repr__ = exact_repr
 
     def __post_init__(self):
         if not isinstance(self.dim, int) or self.dim < 1:
@@ -135,11 +132,12 @@ def _pair_ratio(top, bottom):
 
     The pair sums to 4, so the ratio tends to -1 as T s grows.  Where a
     complex T s overflowed, both parts are infinite and the ratio is
-    that limit; exact values never overflow and are divided as they are.
+    that limit; finite complex parts near the float maximum are divided
+    by ``quotient``, and exact values never overflow.
     """
     if isinstance(top, complex) and cmath.isinf(top) and cmath.isinf(bottom):
         return complex(-1)
-    return top / bottom
+    return quotient(top, bottom)
 
 
 def _denominator_product(params: TustinParams) -> LaurentPoly:
@@ -166,7 +164,6 @@ def r_sum(p: int, q: int, params: TustinParams) -> RationalFn:
     return RationalFn(moment_matrix(dim, [key])[p][0], key[1] ** dim)
 
 
-@dataclass(frozen=True, repr=False)
 class LaplaceResult(ScaledForm):
     """One Laplace-domain closed form: ``scale * numerator / pole product``.
 
@@ -182,7 +179,7 @@ class LaplaceResult(ScaledForm):
     numerator: LaurentPoly
     params: TustinParams
 
-    prefix: ClassVar[str] = "s"
+    prefix = "s"
 
     def __post_init__(self):
         _steps_for(self.numerator.arity, self.params)
@@ -338,8 +335,7 @@ def laplace_compact_3d(params: TustinParams) -> Callable:
     return evaluate
 
 
-@dataclass(frozen=True)
-class PoleZeroReport:
+class PoleZeroReport(Record):
     """Pole/zero structure of the two-dimensional Laplace transform.
 
     ``poles`` and ``intra_zeros`` hold one (location, multiplicity)

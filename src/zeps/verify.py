@@ -18,11 +18,10 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import sdomain
-from .algebra import LaurentPoly, rational_text
+from .algebra import LaurentPoly, Record, rational_text
 from .epsilon import _parity, _product_value, enumerate_indices
 from .sdomain import (
     TustinParams,
@@ -46,8 +45,7 @@ from .epsilon import epsilon_product, sign_oracle  # noqa: F401
 POINT_DENOMINATOR = 8
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     """A check's name and the lines saying what failed; it passes with none."""
 
     name: str

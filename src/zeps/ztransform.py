@@ -18,11 +18,10 @@ closed form, ``factored_moment_det``, over the same keys.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
-from typing import ClassVar, Iterator, Sequence
 
-from .algebra import LaurentPoly, ScaledForm, det, json_number, vandermonde
+from .algebra import LaurentPoly, ScaledForm, det, json_number, quotient, vandermonde
 from .epsilon import _identity_product, _parity, enumerate_indices, gamma_int
 from .errors import EvaluationPoleError, InputDomainError, UnsupportedDimensionError
 
@@ -50,7 +49,6 @@ def require_moment(dim: int, p: int, q: int) -> None:
         raise InputDomainError(f"variable index q must lie in [1, {dim}], got {q!r}")
 
 
-@dataclass(frozen=True, repr=False)
 class TransformResult(ScaledForm):
     """One closed-form Z-domain transform: ``scale * body``.
 
@@ -60,7 +58,7 @@ class TransformResult(ScaledForm):
 
     body: LaurentPoly
 
-    prefix: ClassVar[str] = "z"
+    prefix = "z"
 
     @property
     def roc(self) -> tuple[str, ...]:
@@ -202,14 +200,15 @@ def factored_value(point: Sequence) -> "Fraction | complex":
     E(z) = prod_q x_q prod_{i<j} (x_j - x_i) in O(N^2) operations.  It
     equals ``determinant_ztransform(N).evaluate(point)`` exactly at exact
     points, and avoids the cancellation between the expanded terms at
-    complex ones.  A zero coordinate raises :class:`EvaluationPoleError`.
+    complex ones, whose reciprocals ``quotient`` takes without overflow.
+    A zero coordinate raises :class:`EvaluationPoleError`.
     """
     coords = tuple(point)
     require_dim(len(coords), MAX_DIM)
     for q, z in enumerate(coords, start=1):
         if z == 0:
             raise EvaluationPoleError(f"z{q} = 0 is a pole of the transform")
-    return vandermonde([Fraction(1) / z for z in coords])
+    return vandermonde([quotient(Fraction(1), z) for z in coords])
 
 
 def compact_sum_3d(moments: Sequence[Sequence]):

@@ -86,6 +86,27 @@ def test_lower_is_better_metric():
     assert metric["median_change_vs_parent"] == 0.7907  # 17 / 21.5
 
 
+def test_paired_spread_is_the_change_over_parent_ratio_within_each_pair():
+    # throughput: 120/100, the tie 110/110 and 150/120; pair 4's change run
+    # failed, so it has no ratio.  Inclusive quartiles of (1.0, 1.2, 1.25):
+    # q1 = (1.0 + 1.2) / 2, q3 = (1.2 + 1.25) / 2.  The ratio of the medians
+    # is 1.0435, since the sides' medians come from different pairs.
+    metrics = summary()["metrics"]
+    assert metrics["throughput_rps"]["paired_ratio"] == {"median": 1.2, "q1": 1.1, "q3": 1.225}
+    # peak RSS: 18/20 = 0.9, 17/21 = 0.80952, 16/22 = 0.72727
+    assert metrics["peak_rss_mb"]["paired_ratio"] == {"median": 0.8095, "q1": 0.7684, "q3": 0.8548}
+    # a pair whose parent reads 0 has no ratio, nor does a side with no partner
+    rounds = [
+        {"parent": ab.parse_run(run_output(0, 20)), "change": ab.parse_run(run_output(5, 20))},
+        {"parent": ab.parse_run(run_output(10, 20)), "change": ab.parse_run(run_output(12, 20))},
+    ]
+    ratio = ab.summarize(rounds, END_TO_END)["metrics"]["throughput_rps"]["paired_ratio"]
+    assert ratio == {"median": 1.2, "q1": 1.2, "q3": 1.2}
+    rounds = [{"parent": ab.parse_run(run_output(10, 20)), "change": None},
+              {"parent": None, "change": ab.parse_run(run_output(12, 20))}]
+    assert ab.summarize(rounds, END_TO_END)["metrics"]["throughput_rps"]["paired_ratio"] is None
+
+
 def test_claim_needs_nine_in_ten_pairs_a_gap_past_the_iqr_and_no_failure():
     # 3 of 4 pairs better, gap 4.5 above the parent's IQR 1.5, but a run failed
     claim = summary("peak_rss_mb")["claim"]

@@ -6,7 +6,6 @@ import re
 import shlex
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -19,9 +18,12 @@ from zeps.cli import (
 )
 from zeps.errors import InputDomainError
 from zeps.sdomain import (
-    TustinParams, _denominator_product, _tustin_keys, factored_laplace, laplace_determinant,
+    LaplaceResult, TustinParams, _denominator_product, _tustin_keys, factored_laplace,
+    laplace_determinant,
 )
-from zeps.ztransform import determinant_ztransform, factored_ztransform, scale_constant
+from zeps.ztransform import (
+    TransformResult, determinant_ztransform, factored_ztransform, scale_constant,
+)
 
 
 def run(capsys, *argv):
@@ -231,7 +233,7 @@ class TestVerify:
 
         def skewed(params):
             result = laplace_determinant(params)
-            return replace(result, scale=2 * result.scale)
+            return LaplaceResult(2 * result.scale, result.numerator, params)
 
         argv = ("verify", "--dim", "4", "--T", "1e500", "--samples", "1")
         with monkeypatch.context() as patch:
@@ -317,7 +319,7 @@ class TestVerify:
         # verify must check the form emit prints, not only its oracles
         def doubled(dim):
             result = factored_ztransform(dim)
-            return replace(result, body=2 * result.body)
+            return TransformResult(result.scale, 2 * result.body)
 
         monkeypatch.setattr("zeps.verify.factored_ztransform", doubled)
         code, out, err = run(capsys, "verify", "--dim", "4", "--samples", "2")
@@ -330,7 +332,7 @@ class TestVerify:
             result = factored_laplace(params)
             if params.dim != 4:
                 return result
-            return replace(result, numerator=4 * result.numerator)
+            return LaplaceResult(result.scale, 4 * result.numerator, params)
 
         monkeypatch.setattr("zeps.verify.factored_laplace", off_by_a_power)
         code, out, err = run(capsys, "verify", "--dim", "4", "--samples", "2")
@@ -417,6 +419,22 @@ class TestModuleEntryPoint:
             text=True,
         )
         assert completed.stdout.strip() == "['zeps', 'zeps.algebra', 'zeps.errors']"
+
+    def test_cold_start_imports_no_heavy_stdlib_module(self):
+        # every command pays for its imports in a fresh process; -S keeps a
+        # site .pth file from preloading typing, so src goes on the path by hand
+        heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing")
+        script = (
+            "import sys; sys.path.insert(0, sys.argv[1])\n"
+            "import zeps.cli; zeps.cli.build_parser()\n"
+            f"print([name for name in {heavy!r} if name in sys.modules])"
+        )
+        src = Path(zeps.cli.__file__).resolve().parents[1]
+        completed = subprocess.run(
+            [sys.executable, "-I", "-S", "-B", "-c", script, str(src)],
+            capture_output=True, text=True, check=True,
+        )
+        assert completed.stdout.strip() == "[]"
 
 
 class TestReport:
@@ -511,6 +529,27 @@ class TestPointBoundary:
         )
         assert code == EXIT_OK
         assert out.strip() == value
+
+    @pytest.mark.parametrize(
+        "domain, value",
+        [("s", "(-0.4444444444444444+0j)"), ("z", "(5e-309-5e-309j)")],
+    )
+    def test_coordinate_near_the_float_maximum_divides_without_overflow(
+        self, capsys, domain, value
+    ):
+        # Python's own complex division of 1 or of 2 - s by 1e308+1e308j
+        # overflows in its denominator.  In s, w1 = -1 as at 1e307+1e307j and
+        # the value is -1 * 1/3 * (1/3 + 1); in z, 1/z1 = (1 - 1j)/2e308 is
+        # subnormal and 1/z2 = 1, so the value is 1/z1 * (1 - 1/z1).
+        code, out, err = run(
+            capsys, "eval", "--domain", domain, "--dim", "2", "--point=1e308+1e308j,1"
+        )
+        assert (code, err) == (EXIT_OK, "")
+        assert out.strip() == value
+        _, near, _ = run(
+            capsys, "eval", "--domain", domain, "--dim", "2", "--point=1e307+1e307j,1"
+        )
+        assert (out == near) == (domain == "s")
 
     def test_z_value_beyond_float_range_is_evaluation_error(self, capsys):
         # 1/z = (1e200, 1e100): the true value is about -1e500

@@ -1,13 +1,12 @@
 import itertools
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from zeps.epsilon import _parity, _product_value
 from zeps.errors import UnsupportedDimensionError
-from zeps.sdomain import TustinParams, laplace_determinant
+from zeps.sdomain import LaplaceResult, TustinParams, laplace_determinant
 from zeps.verify import (
     _S_MARGIN,
     check_determinant_oracle,
@@ -86,7 +85,8 @@ class TestChecks:
 
         def skewed(params):
             result = build(params)
-            return replace(result, scale=result.scale * Fraction(10**12 + 1, 10**12))
+            scale = result.scale * Fraction(10**12 + 1, 10**12)
+            return LaplaceResult(scale, result.numerator, params)
 
         monkeypatch.setattr("zeps.verify.laplace_determinant", skewed)
         result = check_tustin_consistency(TustinParams.uniform(3), samples=3, seed=1)
@@ -100,7 +100,7 @@ class TestChecks:
 
         def skewed(params):
             result = build(params)
-            return replace(result, scale=result.scale * 2)
+            return LaplaceResult(result.scale * 2, result.numerator, params)
 
         monkeypatch.setattr("zeps.verify.laplace_determinant", skewed)
         result = check_tustin_consistency(TustinParams.uniform(3), samples=4, seed=3)
@@ -127,7 +127,7 @@ class TestChecks:
 
             def skewed(params):
                 result = build(params)
-                return replace(result, scale=2 * result.scale)
+                return LaplaceResult(2 * result.scale, result.numerator, params)
 
             monkeypatch.setattr("zeps.verify.laplace_determinant", skewed)
             result = check_tustin_consistency(TustinParams.uniform(3), samples=25, seed=1)

@@ -18,7 +18,8 @@ Each run's last stdout line is the benchmark's JSON (``correct``,
 ``attempted``, ``failed``, ``metrics``); a run that prints none counts as
 failed.  The summary of every end-to-end metric in ``BENCHMARK.json``
 (median and quartiles per side, pairs where the change reads better,
-ties, the bound) goes into the ``workloads`` entry of ``--out``, which is
+ties, the paired spread: median and quartiles of change / parent within
+each pair, the bound) goes into the ``workloads`` entry of ``--out``, which is
 created or updated, or to stdout.  ``--claim METRIC`` adds the verdict on
 a claimed gain: better in at least 9 of 10 pairs, with the gap between the
 medians above the parent's interquartile range, and no failed run or
@@ -49,8 +50,9 @@ CLAIM_TARGET = (
 STATS = (
     "median and quartiles (statistics.quantiles, inclusive) over the runs of each side; "
     "change_better_in_pairs counts pairs where the change reads better, ties for neither, "
-    "and a pair with a failed run for neither; within_bound compares the change's median "
-    "with the parent's against BENCHMARK.json's bound"
+    "and a pair with a failed run for neither; paired_ratio is the median and quartiles of "
+    "change / parent within each pair with both runs and a nonzero parent; within_bound "
+    "compares the change's median with the parent's against BENCHMARK.json's bound"
 )
 
 
@@ -109,6 +111,7 @@ def summarize(rounds: list[dict], end_to_end: list[dict], claim: str | None = No
             continue
         parent, change = spread(runs["parent"]), spread(runs["change"])
         bound = spec["bound"]
+        ratios = [c / p for c, p in paired if p]
         limit = parent["median"] * (1 - bound if direction == "higher" else 1 + bound)
         metric = {
             "unit": spec["unit"],
@@ -119,6 +122,7 @@ def summarize(rounds: list[dict], end_to_end: list[dict], claim: str | None = No
             "change_better_in_pairs": sum(_better(c, p, direction) for c, p in paired),
             "ties": sum(c == p for c, p in paired),
             "median_change_vs_parent": round(change["median"] / parent["median"], 4),
+            "paired_ratio": spread(ratios) if ratios else None,
             "within_bound": not _better(limit, change["median"], direction),
             "parent_runs": runs["parent"],
             "change_runs": runs["change"],
