@@ -613,6 +613,29 @@ class TestWriters:
             assert_same(poly.to_text(result.varnames()), reference_text(poly, result.varnames()))
 
 
+class TestRecord:
+    """The one immutable record base of the result, parameter and report types."""
+
+    def test_a_record_is_built_by_position_or_keyword(self):
+        # the seven types share one base, so one type stands for the rest
+        steps = (Fraction(1), Fraction(1, 2))
+        assert TustinParams(2, steps) == TustinParams(dim=2, steps=steps)
+        assert TustinParams(2, steps=steps) == TustinParams(2, ("1", "1/2"))
+        for args, kwargs in [((2,), {}), ((2, steps, 3), {}), ((2,), {"dim": 2}), ((), {"n": 2})]:
+            with pytest.raises(TypeError, match="^TustinParams takes the fields dim, steps$"):
+                TustinParams(*args, **kwargs)
+
+    def test_a_record_is_equal_and_hashed_by_its_fields_and_cannot_change(self):
+        passed = CheckResult("check", ())
+        assert passed == CheckResult("check", ()) != CheckResult("check", ("line",))
+        assert hash(passed) == hash(CheckResult("check", ()))
+        assert {TustinParams.uniform(2), TustinParams(2, (1, 1))} == {TustinParams.uniform(2)}
+        for change in (lambda: setattr(passed, "name", "other"), lambda: delattr(passed, "name")):
+            with pytest.raises(AttributeError, match="^CheckResult instances are immutable$"):
+                change()
+        assert passed.name == "check"
+
+
 class TestDerivedShape:
     """No field restates a dimension or a verdict; each is read off the value it counts."""
 
