@@ -148,6 +148,10 @@ class Record:
 _EXPONENT = re.compile(r"\s*[-+]?[\d_.]*[eE][-+]?([\d_]+)\s*")
 
 
+def _past_cap(text: str, cap: int) -> InputDomainError:
+    return InputDomainError(f"{quoted(text)} exceeds Python's int-to-str cap of {cap} digits")
+
+
 def read_rational(text: str) -> "Fraction | None":
     """``Fraction(text)`` under Python's int-to-str digit cap; None if no rational.
 
@@ -158,21 +162,20 @@ def read_rational(text: str) -> "Fraction | None":
     before ``Fraction`` expands it (``1e10000000`` alone takes seconds).
     """
     cap = sys.get_int_max_str_digits()
-    too_long = InputDomainError(f"{quoted(text)} exceeds Python's int-to-str cap of {cap} digits")
     match = _EXPONENT.fullmatch(text)
     if cap and match and len(match.group(1).replace("_", "").lstrip("0")) > len(str(cap)):
-        raise too_long
+        raise _past_cap(text, cap)
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         # int refuses a run of written-out digits past the cap
         if cap and re.search(rf"\d{{{cap + 1}}}", text.replace("_", "")):
-            raise too_long from None
+            raise _past_cap(text, cap) from None
         return None
     longest = max(abs(value.numerator), value.denominator)
     # 2**(3 cap) < 10**cap, so the power is built only for long values
     if cap and longest.bit_length() > 3 * cap and longest >= 10**cap:
-        raise too_long
+        raise _past_cap(text, cap)
     return value
 
 

@@ -7,13 +7,13 @@ error, 3 evaluation error (singular point, pole, overflow).
 
 from __future__ import annotations
 
-import argparse
 import cmath
 import functools
 import os
 import sys
 from collections.abc import Iterable
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .algebra import quoted, rational_text, read_rational
 from .errors import InputDomainError, ZepsError
@@ -140,54 +140,142 @@ def cmd_report(args) -> tuple[int, Iterable[str]]:
     return EXIT_OK, [getattr(pole_zero_report_2d(params), f"to_{args.format}")()]
 
 
+# Each command's function, its summary and its options, one row an option:
+# name, converter (``int`` or text), choices (None for any), default,
+# whether it is required, and help line.
+_SHAPE = (
+    ("dim", int, None, None, True, "dimension N (z: 2 to 6, s: 2 to 5)"),
+    ("T", str, None, "1", False, "step constant(s), e.g. 1 or 1/2,1/4"),
+)
+_DOMAIN = ("domain", str, tuple(DOMAINS), None, True, "Z-domain form or its Laplace image")
+COMMANDS = {
+    "emit": (cmd_emit, "print a closed-form transform", (
+        *_SHAPE, _DOMAIN,
+        ("format", str, ("json", "latex", "text"), "text", False, "output format"),
+    )),
+    "eval": (cmd_eval, "evaluate a transform at a point", (
+        *_SHAPE, _DOMAIN,
+        ("point", str, None, None, True,
+         "comma-separated coordinates, exact like 3/4 or complex like 1+2j"),
+    )),
+    "verify": (cmd_verify, "run the oracle cross-checks", (
+        *_SHAPE,
+        ("samples", int, None, 100, False, "random points per sampled check, at least 1"),
+        ("seed", int, None, 0, False, "seed of the random points"),
+    )),
+    "report": (cmd_report, "2-D pole/zero structure", (
+        *_SHAPE,
+        ("format", str, ("json", "text"), "text", False, "output format"),
+    )),
+}
+SUMMARY = "Exact Z-domain and Tustin-mapped Laplace-domain closed forms for the Levi-Civita symbol"
+
+
+class Parser:
+    """``zeps COMMAND (--name VALUE | --name=VALUE)...`` read against a table like ``COMMANDS``.
+
+    A value given as its own token is the next token, whatever it starts
+    with.  A unique prefix names an option, and a repeated option keeps its
+    last value.  ``-h``/``--help`` prints help to stdout and raises
+    ``SystemExit(0)``; a usage error prints a usage line and the error to
+    stderr and raises ``SystemExit(2)``.
+    """
+
+    def __init__(self, commands: dict):
+        self.commands = commands
+
+    def parse_args(self, argv=None) -> SimpleNamespace:
+        """The command's name and function, and each option's value or default."""
+        argv = sys.argv[1:] if argv is None else list(argv)
+        command = argv[0] if argv else ""
+        if _named(command, ("help",)):
+            self.help(None)
+        if command not in self.commands:
+            self.error(None, f"the command must be one of {', '.join(self.commands)}, "
+                       f"got {command!r}")
+        func, _, rows = self.commands[command]
+        options = {row[0]: row for row in rows}
+        values = {"command": command, "func": func, **{row[0]: row[3] for row in rows}}
+        tokens = iter(argv[1:])
+        for token in tokens:
+            found = _named(token, (*options, "help"))
+            if found == ["help"]:
+                self.help(command)
+            if len(found) != 1:
+                self.error(command, f"ambiguous option {token!r}: --{', --'.join(found)}"
+                           if found else f"unrecognized argument {token!r}")
+            name, convert, choices = options[found[0]][:3]
+            _, has_value, text = token.partition("=")
+            text = text if has_value else next(tokens, None)
+            if text is None:
+                self.error(command, f"argument --{name}: expected one value")
+            try:
+                values[name] = convert(text)
+            except ValueError:
+                self.error(command, f"argument --{name}: invalid {convert.__name__} value: "
+                           f"{text!r}")
+            if choices is not None and values[name] not in choices:
+                self.error(command, f"argument --{name}: invalid choice: {text!r} "
+                           f"(choose from {', '.join(choices)})")
+        missing = [f"--{row[0]}" for row in rows if row[4] and values[row[0]] is None]
+        if missing:
+            self.error(command, f"the following arguments are required: {', '.join(missing)}")
+        return SimpleNamespace(**values)
+
+    def usage(self, command: "str | None") -> str:
+        if command is None:
+            return f"usage: zeps [-h] {{{','.join(self.commands)}}} ..."
+        shown = (_flag(row) if row[4] else f"[{_flag(row)}]" for row in self.commands[command][2])
+        return f"usage: zeps {command} [-h] {' '.join(shown)}"
+
+    def help(self, command: "str | None"):
+        if command is None:
+            title, summary = "commands", SUMMARY
+            rows = [(name, entry[1]) for name, entry in self.commands.items()]
+        else:
+            title, summary = "options", self.commands[command][1]
+            rows = [("-h, --help", "show this help and exit")] + [
+                (_flag(row), row[5] if row[3] is None else f"{row[5]} (default {row[3]})")
+                for row in self.commands[command][2]
+            ]
+        width = max(len(left) for left, _ in rows) + 2
+        lines = [self.usage(command), "", summary, "", f"{title}:"]
+        lines += [f"  {left:<{width}}{right}" for left, right in rows]
+        sys.stdout.write("\n".join(lines) + "\n")
+        raise SystemExit(EXIT_OK)
+
+    def error(self, command: "str | None", message: str):
+        prog = "zeps" if command is None else f"zeps {command}"
+        sys.stderr.write(f"{self.usage(command)}\n{prog}: error: {message}\n")
+        raise SystemExit(EXIT_USAGE)
+
+
+def _named(token: str, names) -> list:
+    """What ``-h`` or ``--word[=value]`` may name: ``word`` itself, else the names it begins."""
+    if token == "-h":
+        return ["help"]
+    word = token.partition("=")[0][2:]
+    if not token.startswith("--") or not word:
+        return []
+    return [word] if word in names else [name for name in names if name.startswith(word)]
+
+
+def _flag(row: tuple) -> str:
+    name, choices = row[0], row[2]
+    return f"--{name} {name.upper() if choices is None else '{' + ','.join(choices) + '}'}"
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> Parser:
     """The process's one parser: built on the first call, shared after."""
-    parser = argparse.ArgumentParser(
-        prog="zeps",
-        description=(
-            "Exact Z-domain and Tustin-mapped Laplace-domain closed forms "
-            "for the Levi-Civita symbol"
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    # --dim and --T, shared by every command
-    shape = argparse.ArgumentParser(add_help=False)
-    shape.add_argument("--dim", type=int, required=True)
-    shape.add_argument("--T", default="1", help="step constant(s), e.g. 1 or 1/2,1/4")
-
-    emit = sub.add_parser("emit", parents=[shape], help="print a closed-form transform")
-    emit.add_argument("--domain", choices=DOMAINS, required=True)
-    emit.add_argument("--format", choices=("json", "latex", "text"), default="text")
-    emit.set_defaults(func=cmd_emit)
-
-    evaluate = sub.add_parser("eval", parents=[shape], help="evaluate a transform at a point")
-    evaluate.add_argument("--domain", choices=DOMAINS, required=True)
-    evaluate.add_argument(
-        "--point",
-        required=True,
-        help="comma-separated coordinates; rationals like 3/4 stay exact, "
-        "complex values use re+imj syntax",
-    )
-    evaluate.set_defaults(func=cmd_eval)
-
-    verify = sub.add_parser("verify", parents=[shape], help="run the oracle cross-checks")
-    verify.add_argument("--samples", type=int, default=100)
-    verify.add_argument("--seed", type=int, default=0)
-    verify.set_defaults(func=cmd_verify)
-
-    report = sub.add_parser("report", parents=[shape], help="2-D pole/zero structure")
-    report.add_argument("--format", choices=("json", "text"), default="text")
-    report.set_defaults(func=cmd_report)
-
-    return parser
+    return Parser(COMMANDS)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "samples", 1) < 1:
-        parser.error("--samples must be >= 1")
+        parser.error(args.command, "--samples must be >= 1")
     # The command builds its result and returns the pieces of its output,
     # so a failed build writes nothing; each piece is written as it is
     # rendered, and a writer's error ends the output with its own message.

@@ -136,6 +136,20 @@ def test_triples_report_the_second_parent_copy():
     assert metric["change_better_in_pairs"] == 2
 
 
+def test_a_parent_median_of_zero_gives_no_ratio_of_medians():
+    rounds = [
+        {"parent": ab.parse_run(run_output(0, 20)), "parent2": ab.parse_run(run_output(0, 20)),
+         "change": ab.parse_run(run_output(5 + k, 20))}
+        for k in (0, 1)
+    ]
+    metric = ab.summarize(rounds, END_TO_END)["metrics"]["throughput_rps"]
+    assert metric["parent"] == {"median": 0, "q1": 0, "q3": 0}
+    assert metric["median_change_vs_parent"] is None
+    assert metric["parent2_vs_parent_median"] is None
+    assert metric["paired_ratio"] is None
+    assert metric["change_better_in_pairs"] == 2
+
+
 def test_claim_must_name_an_end_to_end_metric(capsys):
     with pytest.raises(SystemExit) as exc:
         ab.main(["HEAD", "HEAD", "--workload", "emit", "--seeds", "1",

@@ -1,4 +1,3 @@
-import argparse
 import importlib
 import json
 import math
@@ -423,7 +422,10 @@ class TestModuleEntryPoint:
     def test_cold_start_imports_no_heavy_stdlib_module(self):
         # every command pays for its imports in a fresh process; -S keeps a
         # site .pth file from preloading typing, so src goes on the path by hand
-        heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing")
+        heavy = (
+            "dataclasses", "inspect", "ast", "dis", "tokenize", "typing",
+            "argparse", "gettext", "locale", "shutil",
+        )
         script = (
             "import sys; sys.path.insert(0, sys.argv[1])\n"
             "import zeps.cli; zeps.cli.build_parser()\n"
@@ -749,13 +751,13 @@ class TestSharedParser:
     def test_later_calls_build_no_parser(self, capsys, monkeypatch):
         outcome(capsys, ("emit", "--domain", "z", "--dim", "2"))
         built = []
-        init = argparse.ArgumentParser.__init__
+        init = zeps.cli.Parser.__init__
 
         def counting(self, *args, **kwargs):
-            built.append(kwargs.get("prog"))
+            built.append(args)
             init(self, *args, **kwargs)
 
-        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        monkeypatch.setattr(zeps.cli.Parser, "__init__", counting)
         calls = (
             ("emit", "--domain", "z", "--dim", "3", "--format", "json"),
             ("emit", "--domain", "s", "--dim", "2", "--format", "latex"),
@@ -772,9 +774,7 @@ class TestSharedParser:
         assert codes == [0, 0, 0, 0, 3, 0, 0, 2, 2, 0]
         assert built == []
 
-    def test_each_call_matches_a_fresh_process(self, capsys, monkeypatch):
-        # help wraps at the terminal width, which both sides read from COLUMNS
-        monkeypatch.setenv("COLUMNS", "80")
+    def test_each_call_matches_a_fresh_process(self, capsys):
         fresh = [
             subprocess.Popen(
                 [sys.executable, "-m", "zeps", *argv],
@@ -789,6 +789,75 @@ class TestSharedParser:
             there.append((process.returncode, out, err))
         assert here == there
         assert [code for code, _, _ in here] == [0, 0, 2, 2, 2, 0, 0, 0, 0]
+
+
+def same_as(*argv):
+    return ("same as", argv)
+
+
+HELP, USAGE = "help", "usage error"
+
+# ``zeps COMMAND (--name VALUE | --name=VALUE)...``: each argv and what it
+# gives, the outcome of another argv, help or a usage error
+GRAMMAR = [
+    # --name value equals --name=value, whatever the value starts with
+    (("emit", "--domain=s", "--dim=2", "--T=1/2", "--format=json"),
+     same_as("emit", "--domain", "s", "--dim", "2", "--T", "1/2", "--format", "json")),
+    (("eval", "--domain", "s", "--dim", "2", "--point", "-1,2"),
+     same_as("eval", "--domain=s", "--dim=2", "--point=-1,2")),
+    (("verify", "--dim", "3", "--samples", "2", "--seed", "5"),
+     same_as("verify", "--dim=3", "--samples=2", "--seed=5")),
+    # the last repeat wins
+    (("emit", "--domain", "s", "--dim", "3", "--format", "latex", "--domain=z", "--dim", "2",
+      "--format", "text"), same_as("emit", "--domain", "z", "--dim", "2")),
+    # a unique prefix names its option
+    (("report", "--d", "2", "--f", "json"), same_as("report", "--dim", "2", "--format", "json")),
+    (("eval", "--do", "z", "--di=2", "--p", "2,1"),
+     same_as("eval", "--domain", "z", "--dim", "2", "--point", "2,1")),
+    (("-h",), HELP), (("--help",), HELP), (("--he",), HELP),
+    (("emit", "-h"), HELP), (("eval", "--help"), HELP), (("report", "--h"), HELP),
+    (("verify", "--dim", "3", "-h", "--samples", "0"), HELP),
+    ((), USAGE),  # no command
+    (("frobnicate", "--dim", "2"), USAGE),  # unknown command
+    (("--dim", "2", "emit", "--domain", "z"), USAGE),  # an option before the command
+    (("emit", "--domain", "z", "--dim", "2", "--tol", "1"), USAGE),  # unknown option
+    (("emit", "--domain", "z", "--dim", "2", "-f", "json"), USAGE),  # no short options
+    (("emit", "--d", "2", "--domain", "z"), USAGE),  # ambiguous prefix: --dim or --domain
+    (("eval", "--domain", "z", "--dim", "2", "--point"), USAGE),  # missing value
+    (("emit", "--dim", "2"), USAGE),  # missing required option
+    (("eval", "--domain", "z", "--point", "1,2"), USAGE),  # missing required option
+    (("verify", "--dim", "two"), USAGE),  # bad int
+    (("verify", "--dim", "3", "--seed="), USAGE),  # bad int
+    (("emit", "--domain", "z", "--dim", "2", "--format", "xml"), USAGE),  # not a choice
+    (("eval", "--domain", "w", "--dim", "2", "--point", "1,2"), USAGE),  # not a choice
+    (("verify", "--dim", "3", "--samples", "0"), USAGE),  # --samples below 1
+    (("emit", "--domain", "z", "--dim", "2", "stray"), USAGE),  # stray token
+    (("emit", "--domain", "z", "--dim", "2", "--"), USAGE),  # stray token
+]
+
+
+@pytest.mark.parametrize(
+    "argv,expected", GRAMMAR, ids=[" ".join(argv) or "no command" for argv, _ in GRAMMAR]
+)
+def test_command_line_grammar(capsys, argv, expected):
+    code, out, err = outcome(capsys, argv)
+    command = argv[0] if argv and argv[0] in zeps.cli.COMMANDS else None
+    if expected == HELP:
+        assert (code, err) == (0, "")
+        assert out.startswith(f"usage: zeps {command or ''}".rstrip() + " [-h] ")
+        if command is None:
+            listed = list(zeps.cli.COMMANDS)
+        else:
+            listed = [f"\n  --{row[0]} " for row in zeps.cli.COMMANDS[command][2]]
+        assert [name for name in listed if name not in out] == []
+    elif expected == USAGE:
+        assert (code, out) == (EXIT_USAGE, "")
+        prog = "zeps" if command is None else f"zeps {command}"
+        assert err.startswith(f"usage: {prog} [-h] ")
+        assert f"\n{prog}: error: " in err and err.count("\n") == 2
+    else:
+        assert code == 0
+        assert (code, out, err) == outcome(capsys, expected[1])
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -1,7 +1,7 @@
 """Fuzzing the CLI boundary: every argv ends in a documented exit code.
 
-``main`` must return 0, 1, 2 or 3, or let argparse raise
-``SystemExit(2)``; no other exception may escape, and a successful run
+``main`` must return 0, 1, 2 or 3, or raise ``SystemExit(2)`` for a
+usage error; no other exception may escape, and a successful run
 never prints the word ``nan`` ("determinant" is fine).  Dimensions run
 from -1 to 7, but the valid ones whose build takes seconds (emit z 6 and
 s 5, verify 5 and 6) are left out so each example stays well under a

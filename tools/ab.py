@@ -51,7 +51,8 @@ STATS = (
     "median and quartiles (statistics.quantiles, inclusive) over the runs of each side; "
     "change_better_in_pairs counts pairs where the change reads better, ties for neither, "
     "and a pair with a failed run for neither; paired_ratio is the median and quartiles of "
-    "change / parent within each pair with both runs and a nonzero parent; within_bound "
+    "change / parent within each pair with both runs and a nonzero parent; the ratios of "
+    "medians are null where the parent's median is 0; within_bound "
     "compares the change's median with the parent's against BENCHMARK.json's bound"
 )
 
@@ -75,6 +76,11 @@ def spread(values: list[float]) -> dict:
 
 def _better(change: float, parent: float, direction: str) -> bool:
     return change > parent if direction == "higher" else change < parent
+
+
+def _ratio(value: float, base: float) -> float | None:
+    """``value / base`` to four places, or None where the base reads 0."""
+    return round(value / base, 4) if base else None
 
 
 def summarize(rounds: list[dict], end_to_end: list[dict], claim: str | None = None) -> dict:
@@ -121,7 +127,7 @@ def summarize(rounds: list[dict], end_to_end: list[dict], claim: str | None = No
             "change": change,
             "change_better_in_pairs": sum(_better(c, p, direction) for c, p in paired),
             "ties": sum(c == p for c, p in paired),
-            "median_change_vs_parent": round(change["median"] / parent["median"], 4),
+            "median_change_vs_parent": _ratio(change["median"], parent["median"]),
             "paired_ratio": spread(ratios) if ratios else None,
             "within_bound": not _better(limit, change["median"], direction),
             "parent_runs": runs["parent"],
@@ -130,8 +136,8 @@ def summarize(rounds: list[dict], end_to_end: list[dict], claim: str | None = No
         if "parent2" in sides:
             metric["parent2"] = spread(runs["parent2"])
             metric["parent2_runs"] = runs["parent2"]
-            ratio = metric["parent2"]["median"] / parent["median"]
-            metric["parent2_vs_parent_median"] = round(ratio, 4)
+            metric["parent2_vs_parent_median"] = _ratio(metric["parent2"]["median"],
+                                                        parent["median"])
         metrics[name] = metric
     entry["metrics"] = metrics
     if claim:
