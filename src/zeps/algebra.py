@@ -146,6 +146,7 @@ class Record:
 
 
 _EXPONENT = re.compile(r"\s*[-+]?[\d_.]*[eE][-+]?([\d_]+)\s*")
+_DIGIT_RUN = re.compile(r"\d+")
 
 
 def _past_cap(text: str, cap: int) -> InputDomainError:
@@ -169,7 +170,7 @@ def read_rational(text: str) -> "Fraction | None":
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         # int refuses a run of written-out digits past the cap
-        if cap and re.search(rf"\d{{{cap + 1}}}", text.replace("_", "")):
+        if cap and any(len(run) > cap for run in _DIGIT_RUN.findall(text.replace("_", ""))):
             raise _past_cap(text, cap) from None
         return None
     longest = max(abs(value.numerator), value.denominator)
@@ -315,8 +316,8 @@ def _constant(arity: int, value) -> "LaurentPoly":
     return _made(arity, terms, value.denominator, _MIN_BITS, 0)
 
 
-def _sum_of_products(arity: int, signed: Sequence[tuple]) -> "LaurentPoly":
-    """``sum(sign * a * b)`` over the ``(sign, a, b)`` in ``signed``.
+def _sum_of_products(arity: int, weighted: Sequence[tuple]) -> "LaurentPoly":
+    """``sum(w * a * b)`` over the ``(w, a, b)`` in ``weighted``, ``a`` and ``b`` polynomials.
 
     The products' numerator maps go over the least common denominator
     of their denominators ``a._den * b._den``, each scaled by its share
@@ -325,13 +326,13 @@ def _sum_of_products(arity: int, signed: Sequence[tuple]) -> "LaurentPoly":
     one map; cancelled terms are dropped and the map is reduced once, at
     the end.  ``a * b`` is the one-product case.
     """
-    den = math.lcm(*(a._den * b._den for _, a, b in signed))
-    reach = max(a._reach + b._reach for _, a, b in signed)
+    den = math.lcm(*(a._den * b._den for _, a, b in weighted))
+    reach = max(a._reach + b._reach for _, a, b in weighted)
     bits = _bits_for(reach)
     total: dict[int, int] = {}
     get = total.get
-    for sign, a, b in signed:
-        factor = sign * (den // (a._den * b._den))
+    for w, a, b in weighted:
+        factor = w * (den // (a._den * b._den))
         b_items = list(b._at(bits).items())
         for ka, ca in a._at(bits).items():
             ca *= factor
@@ -842,36 +843,50 @@ class RationalFn(Record):
     __str__ = to_text
 
 
+def sum_of_products(weighted: Iterable[tuple]):
+    """``sum(w * (a * b))`` over the ``(w, a, b)`` in ``weighted``, each ``w`` an ``int``.
+
+    With a :class:`LaurentPoly` among the factors the sum is one
+    accumulation in one packed map (``_sum_of_products``): each distinct
+    ``int`` or ``Fraction`` factor becomes the constant polynomial once,
+    and polynomial factors of different arities raise
+    :class:`InputDomainError`.  All-scalar input takes the generic ``sum``,
+    so ``int`` and ``Fraction`` factors keep their type.
+    """
+    weighted = list(weighted)
+    polys = [x for _, a, b in weighted for x in (a, b) if isinstance(x, LaurentPoly)]
+    if not polys:
+        return sum(w * (a * b) for w, a, b in weighted)
+    arity = polys[0].arity
+    for poly in polys:
+        if poly.arity != arity:
+            raise InputDomainError(f"arity mismatch: {arity} vs {poly.arity}")
+    if len(polys) < 2 * len(weighted):
+        scalars = {x for _, a, b in weighted for x in (a, b) if not isinstance(x, LaurentPoly)}
+        constants = {x: _constant(arity, x) for x in scalars}
+
+        def lifted(x):
+            return x if isinstance(x, LaurentPoly) else constants[x]
+
+        weighted = [(w, lifted(a), lifted(b)) for w, a, b in weighted]
+    return _sum_of_products(arity, weighted)
+
+
 def det(matrix: Sequence[Sequence]):
     """Determinant of a small square matrix of ring elements.
 
     Cofactor expansion, memoized over column subsets so each minor is
-    computed once.  With :class:`LaurentPoly` entries, each minor is one
-    accumulation: sum_i +-entry_i * minor_i goes into a single packed map
-    over the least common denominator (``_sum_of_products``), and entries
-    of different arities raise :class:`InputDomainError`.  Any other
-    elements supporting ``+`` and ``*`` (``int``, ``Fraction``) take the
-    generic ``sum``.  The side is capped at ``MAX_DET_SIDE``.
+    computed once.  Each minor, sum_i +-entry_i * minor_i, is one
+    ``sum_of_products``: a single packed map when a polynomial takes part,
+    where entries of different arities raise :class:`InputDomainError`,
+    else the generic ``sum``, so ``int`` and ``Fraction`` entries keep
+    their type.  The side is capped at ``MAX_DET_SIDE``.
     """
     n = len(matrix)
     if n == 0 or any(len(row) != n for row in matrix):
         raise InputDomainError("determinant needs a non-empty square matrix")
     if n > MAX_DET_SIDE:
         raise InputDomainError(f"determinant side capped at {MAX_DET_SIDE}, got {n}")
-
-    entries = [entry for row in matrix for entry in row]
-    if all(isinstance(entry, LaurentPoly) for entry in entries):
-        arity = entries[0].arity
-        for entry in entries:
-            if entry.arity != arity:
-                raise InputDomainError(f"arity mismatch: {arity} vs {entry.arity}")
-
-        def expand(signed):
-            return _sum_of_products(arity, signed)
-    else:
-
-        def expand(signed):
-            return sum(sign * a * b for sign, a, b in signed)
 
     memo: dict[tuple[int, ...], object] = {}
 
@@ -880,7 +895,7 @@ def det(matrix: Sequence[Sequence]):
         if len(cols) == 1:
             return matrix[row][cols[0]]
         if cols not in memo:
-            memo[cols] = expand([
+            memo[cols] = sum_of_products([
                 (-1 if i % 2 else 1, matrix[row][c], minor(cols[:i] + cols[i + 1 :]))
                 for i, c in enumerate(cols)
             ])

@@ -97,18 +97,18 @@ def epsilon_product(indices: Sequence[int]) -> int:
 def _product_value(idx: MultiIndex) -> int:
     """``epsilon_product`` on a tuple that ``_closed_form_index`` would return unchanged.
 
-    Multiplies the factors x_j - x_i in ``differences`` order (by j, then
-    by i) and returns 0 at the first zero factor, since it zeroes the
-    product.  Only a tuple of distinct indices reaches the division by
-    D(1..N) and its remainder check.
+    Multiplies the factors x_j - x_i over the pairs i < j that
+    ``itertools.combinations`` yields (by i, then by j), slicing nothing,
+    and returns 0 at the first zero factor, since it zeroes the product.
+    Only a tuple of distinct indices reaches the division by D(1..N) and
+    its remainder check.
     """
     product = 1
-    for j, x in enumerate(idx):
-        for earlier in idx[:j]:
-            factor = x - earlier
-            if not factor:
-                return 0
-            product *= factor
+    for earlier, x in itertools.combinations(idx, 2):
+        factor = x - earlier
+        if not factor:
+            return 0
+        product *= factor
     value, remainder = divmod(product, _identity_product(len(idx)))
     if remainder:
         raise IdentityViolationError(f"product form left remainder {remainder} at {idx}")

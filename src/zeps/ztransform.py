@@ -21,7 +21,8 @@ import math
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
 
-from .algebra import LaurentPoly, ScaledForm, det, json_number, quotient, vandermonde
+from .algebra import (
+    LaurentPoly, ScaledForm, det, json_number, quotient, sum_of_products, vandermonde)
 from .epsilon import _identity_product, _parity, enumerate_indices, gamma_int
 from .errors import EvaluationPoleError, InputDomainError, UnsupportedDimensionError
 
@@ -92,7 +93,9 @@ def moment_matrix(dim: int, keys: Sequence[tuple]) -> list[list]:
     (z_q^{-1}, 1) gives S(p, q); Tustin's key (2 - T_q s_q, 2 + T_q s_q)
     gives the numerator of R(p, q) over (2 + T_q s_q)^dim; a numeric key
     (w, 1) gives the moment sums at one point.  Each column's powers are
-    built once, with ``*`` and ``+`` only, so keys keep their type.
+    built once, with ``*`` only, and each entry is one ``sum_of_products``
+    over them, so polynomial keys build no per-term polynomial and scalar
+    keys keep their type.
     """
     columns = []
     for a, b in keys:
@@ -100,8 +103,8 @@ def moment_matrix(dim: int, keys: Sequence[tuple]) -> list[list]:
         for _ in range(dim - 1):
             a_powers.append(a_powers[-1] * a)
             b_powers.append(b_powers[-1] * b)
-        terms = [a_powers[r - 1] * b_powers[dim - r] for r in range(1, dim + 1)]
-        columns.append([sum(r**p * t for r, t in enumerate(terms, 1)) for p in range(dim)])
+        factors = [(r, a_powers[r - 1], b_powers[dim - r]) for r in range(1, dim + 1)]
+        columns.append([sum_of_products((r**p, x, y) for r, x, y in factors) for p in range(dim)])
     return [list(row) for row in zip(*columns)]
 
 
@@ -113,10 +116,12 @@ def factored_moment_det(keys: Sequence[tuple]):
     taking a_q out of column q leaves a homogeneous Vandermonde matrix, so
     the determinant is
     scale_constant(N) * prod_q a_q * prod_{i<j} (a_j b_i - a_i b_j).
-    Only ``*`` and ``-`` are applied, so keys keep their type: ``int``
+    Each cross factor is one ``sum_of_products``, so polynomial keys build
+    no separate product a_j b_i, and scalar keys keep their type: ``int``
     keys give an ``int``.
     """
-    cross = [a * b_i - a_i * b for j, (a, b) in enumerate(keys) for a_i, b_i in keys[:j]]
+    pairs = [(a, b, a_i, b_i) for j, (a, b) in enumerate(keys) for a_i, b_i in keys[:j]]
+    cross = [sum_of_products([(1, a, b_i), (-1, a_i, b)]) for a, b, a_i, b_i in pairs]
     return scale_constant(len(keys)) * math.prod([a for a, _ in keys] + cross)
 
 

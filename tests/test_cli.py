@@ -11,7 +11,7 @@ import pytest
 
 import zeps.cli
 import zeps.verify
-from zeps.algebra import LaurentPoly, RationalFn, det
+from zeps.algebra import LaurentPoly, RationalFn, det, read_rational
 from zeps.cli import (
     EXIT_EVALUATION, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, build_parser, main,
 )
@@ -667,6 +667,19 @@ class TestDigitCap:
         code, out, err = run(capsys, "eval", "--domain", "z", "--dim", "2", "--point", point)
         assert code == EXIT_USAGE and out == ""
         assert f"exceeds Python's int-to-str cap of {cap} digits" in err
+
+    def test_reading_a_coordinate_compiles_no_pattern(self, monkeypatch):
+        # every pattern read_rational needs is compiled at import, so a
+        # forked request compiles none; pytest.raises(match=) would compile one
+        def refused(*args, **kwargs):
+            raise AssertionError(f"re._compile{args}")
+
+        cap = sys.get_int_max_str_digits()
+        monkeypatch.setattr(re, "_compile", refused)
+        assert read_rational("0.3+0.1j") is None
+        with pytest.raises(InputDomainError) as raised:
+            read_rational("9" * (cap + 1))
+        assert f"exceeds Python's int-to-str cap of {cap} digits" in str(raised.value)
 
     def test_exponent_under_the_cap_is_read(self, capsys):
         code, out, _ = run(capsys, "report", "--dim", "2", "--T", "1e308", "--format", "json")

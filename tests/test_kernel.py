@@ -6,7 +6,9 @@ include the edges of each packing width and values of +-10**6 and beyond,
 so a key that wrapped or a digit read back wrong shows up as a term
 mismatch.  ``det``, which sums each minor's products in one packed map,
 is held to ``old_det``, a verbatim copy of the cofactor expansion that
-summed them one ring operation at a time.
+summed them one ring operation at a time, and ``sum_of_products``, the
+one accumulation behind ``det`` and the moment builders, to the generic
+``sum`` of its products.
 """
 
 from fractions import Fraction
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zeps.algebra import MAX_DET_SIDE, LaurentPoly, det
+from zeps.algebra import MAX_DET_SIDE, LaurentPoly, det, sum_of_products
 from zeps.errors import EvaluationPoleError, InputDomainError
 
 WIDE = [
@@ -295,7 +297,9 @@ def test_det_of_scalars_takes_the_generic_sum(matrix):
     assert new == old and type(new) is type(old)
 
 
-def test_det_of_scalars_and_polynomials_takes_the_generic_sum():
+def test_det_of_scalars_and_polynomials_lifts_the_scalars():
+    # a minor with a polynomial in it lifts its scalars to constants; an
+    # all-scalar minor keeps the generic sum
     x = LaurentPoly.variable(2, 1, -3)
     matrix = [[x, 2, Fraction(1, 3)], [1, x * x, x], [Fraction(-5, 2), 7, x + 1]]
     assert det(matrix) == old_det(matrix)
@@ -336,3 +340,49 @@ def test_det_side_cap_still_applies():
     det([[one] * MAX_DET_SIDE for _ in range(MAX_DET_SIDE)])
     with pytest.raises(InputDomainError):
         det([[one] * (MAX_DET_SIDE + 1) for _ in range(MAX_DET_SIDE + 1)])
+
+
+# -- sum of products ------------------------------------------------------
+
+
+@st.composite
+def weighted_products(draw, scalars_only=False):
+    """``(w, a, b)`` triples over one arity, each factor an int, a Fraction or a polynomial."""
+    arity = draw(st.integers(1, 3))
+    factor = SCALARS if scalars_only else st.one_of(
+        SCALARS, term_maps(arity).map(lambda terms: LaurentPoly(arity, terms))
+    )
+    triples = st.tuples(st.integers(-40, 40), factor, factor)
+    return arity, draw(st.lists(triples, min_size=1, max_size=5))
+
+
+@PROPERTY
+@given(weighted_products())
+def test_sum_of_products_equals_the_generic_sum(case):
+    _, weighted = case
+    assert sum_of_products(weighted) == sum(w * a * b for w, a, b in weighted)
+
+
+@PROPERTY
+@given(weighted_products(scalars_only=True))
+def test_sum_of_products_of_scalars_keeps_their_type(case):
+    _, weighted = case
+    expected = sum(w * a * b for w, a, b in weighted)
+    total = sum_of_products(weighted)
+    assert total == expected and type(total) is type(expected)
+
+
+@PROPERTY
+@given(weighted_products(), st.data())
+def test_sum_of_products_rejects_a_mismatched_arity_anywhere(case, data):
+    arity, weighted = case
+    anchor = LaurentPoly.variable(arity, arity)
+    weighted.insert(data.draw(st.integers(0, len(weighted))), (1, anchor, anchor))
+    stranger = LaurentPoly.variable(arity + 1, 1, data.draw(EXPONENTS))
+    row = data.draw(st.integers(0, len(weighted) - 1))
+    side = data.draw(st.sampled_from([1, 2]))
+    triple = list(weighted[row])
+    triple[side] = stranger
+    weighted[row] = tuple(triple)
+    with pytest.raises(InputDomainError):
+        sum_of_products(weighted)

@@ -6,9 +6,11 @@ from math import factorial
 
 import pytest
 
+import zeps.algebra
 from zeps.algebra import LaurentPoly
 from zeps.epsilon import _parity
 from zeps.errors import InputDomainError, UnsupportedDimensionError
+from zeps.sdomain import _tustin_keys
 from zeps.verify import rel_close
 from zeps.ztransform import (
     TransformResult,
@@ -16,6 +18,7 @@ from zeps.ztransform import (
     compact_form_3d,
     determinant_ztransform,
     factored_ztransform,
+    moment_matrix,
     s_sum,
     scale_constant,
 )
@@ -90,6 +93,30 @@ class TestMomentSums:
             if gate:
                 windowed = windowed + (n**p) * LaurentPoly.variable(dim, q, -n)
         assert windowed == s_sum(dim, p, q)
+
+
+    @pytest.mark.parametrize(
+        "domain,dim",
+        [("z", dim) for dim in range(2, 7)] + [("s", dim) for dim in range(2, 6)],
+    )
+    def test_a_column_builds_at_most_4n_polynomials(self, domain, dim, monkeypatch):
+        # the key powers, one constant per distinct scalar factor and one
+        # accumulation per entry; summing term by term builds 13-89 a column
+        if domain == "z":
+            keys = [(LaurentPoly.variable(dim, q, -1), 1) for q in range(1, dim + 1)]
+        else:
+            keys = _tustin_keys([Fraction(q, q + 1) for q in range(1, dim + 1)])
+        fill, built = zeps.algebra._fill, []
+
+        def counted(poly, *fields):
+            built.append(poly)
+            return fill(poly, *fields)
+
+        monkeypatch.setattr(zeps.algebra, "_fill", counted)
+        for key in keys:
+            built.clear()
+            moment_matrix(dim, [key])
+            assert len(built) <= 4 * dim
 
 
 class TestScaleConstant:
