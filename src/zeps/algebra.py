@@ -849,9 +849,10 @@ def sum_of_products(weighted: Iterable[tuple]):
     With a :class:`LaurentPoly` among the factors the sum is one
     accumulation in one packed map (``_sum_of_products``): each distinct
     ``int`` or ``Fraction`` factor becomes the constant polynomial once,
-    and polynomial factors of different arities raise
-    :class:`InputDomainError`.  All-scalar input takes the generic ``sum``,
-    so ``int`` and ``Fraction`` factors keep their type.
+    any other scalar raises :class:`TypeError`, and polynomial factors of
+    different arities raise :class:`InputDomainError`.  All-scalar input
+    takes the generic ``sum``, so ``int`` and ``Fraction`` factors keep
+    their type.
     """
     weighted = list(weighted)
     polys = [x for _, a, b in weighted for x in (a, b) if isinstance(x, LaurentPoly)]
@@ -863,6 +864,8 @@ def sum_of_products(weighted: Iterable[tuple]):
             raise InputDomainError(f"arity mismatch: {arity} vs {poly.arity}")
     if len(polys) < 2 * len(weighted):
         scalars = {x for _, a, b in weighted for x in (a, b) if not isinstance(x, LaurentPoly)}
+        if not all(isinstance(x, EXACT_SCALARS) for x in scalars):
+            raise TypeError("only int and Fraction scalars multiply a LaurentPoly")
         constants = {x: _constant(arity, x) for x in scalars}
 
         def lifted(x):

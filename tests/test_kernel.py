@@ -305,6 +305,15 @@ def test_det_of_scalars_and_polynomials_lifts_the_scalars():
     assert det(matrix) == old_det(matrix)
 
 
+@pytest.mark.parametrize("scalar", [1j, 0.5])
+def test_det_refuses_inexact_scalars_beside_polynomials(scalar):
+    x = LaurentPoly.variable(1, 1)
+    with pytest.raises(TypeError):
+        det([[x, scalar], [1, x]])
+    with pytest.raises(TypeError):
+        old_det([[x, scalar], [1, x]])
+
+
 @pytest.mark.parametrize("edge", [2**15, 2**31])
 def test_det_repacks_at_the_width_edges(edge):
     # every entry fits the narrower width, but x^(edge-1) * x^1 does not
