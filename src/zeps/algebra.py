@@ -862,7 +862,7 @@ def sum_of_products(weighted: Iterable[tuple]):
     for poly in polys:
         if poly.arity != arity:
             raise InputDomainError(f"arity mismatch: {arity} vs {poly.arity}")
-    if len(polys) < 2 * len(weighted):
+    if len(polys) < 2 * len(weighted):  # some factor is a scalar
         scalars = {x for _, a, b in weighted for x in (a, b) if not isinstance(x, LaurentPoly)}
         if not all(isinstance(x, EXACT_SCALARS) for x in scalars):
             raise TypeError("only int and Fraction scalars multiply a LaurentPoly")
