@@ -670,15 +670,23 @@ class TestDigitCap:
 
     def test_reading_a_coordinate_compiles_no_pattern(self, monkeypatch):
         # every pattern read_rational needs is compiled at import, so a
-        # forked request compiles none; pytest.raises(match=) would compile one
-        def refused(*args, **kwargs):
-            raise AssertionError(f"re._compile{args}")
+        # forked request compiles none.  re._compile is recorded, not
+        # refused, and only around the two reads: pytest's own reporters
+        # (junitxml's escaping, pytest.raises(match=)) compile patterns
+        compile_, compiled = re._compile, []
+
+        def recorded(*args, **kwargs):
+            compiled.append(args)
+            return compile_(*args, **kwargs)
 
         cap = sys.get_int_max_str_digits()
-        monkeypatch.setattr(re, "_compile", refused)
-        assert read_rational("0.3+0.1j") is None
-        with pytest.raises(InputDomainError) as raised:
-            read_rational("9" * (cap + 1))
+        with monkeypatch.context() as patch:
+            patch.setattr(re, "_compile", recorded)
+            plain = read_rational("0.3+0.1j")
+            with pytest.raises(InputDomainError) as raised:
+                read_rational("9" * (cap + 1))
+        assert compiled == []
+        assert plain is None
         assert f"exceeds Python's int-to-str cap of {cap} digits" in str(raised.value)
 
     def test_exponent_under_the_cap_is_read(self, capsys):
