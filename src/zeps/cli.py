@@ -1,8 +1,9 @@
 """Command-line front end: emit closed forms, evaluate them at points,
 run the verification sweeps, and print the 2-D pole/zero report.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or configuration
-error, 3 evaluation error (singular point, pole, overflow).
+Exit codes: 0 success, 1 verification failure (a check that raises fails
+too), 2 usage or configuration error, 3 evaluation error (singular point,
+pole, overflow).
 """
 
 from __future__ import annotations
@@ -25,6 +26,11 @@ from .sdomain import (
     pole_zero_report_2d,
 )
 from .verify import (
+    EPSILON_CHECK,
+    ORACLE_CHECK,
+    TUSTIN_CHECK,
+    CheckResult,
+    SharedRoutes,
     check_determinant_oracle,
     check_epsilon_formulas,
     check_tustin_consistency,
@@ -112,21 +118,36 @@ def cmd_eval(args) -> tuple[int, Iterable[str]]:
 
 
 def cmd_verify(args) -> tuple[int, Iterable[str]]:
+    """One line a check; a check that raised fails, with what it raised as its detail.
+
+    The checks read one ``SharedRoutes``, so the request sweeps the N**N
+    tuples once and builds the factored z form once.
+    """
     params = _window_then_steps(args, MAX_DIM)
-    checks = [check_epsilon_formulas(args.dim), check_determinant_oracle(args.dim)]
+    checks = [
+        (EPSILON_CHECK, check_epsilon_formulas, (args.dim,)),
+        (ORACLE_CHECK, check_determinant_oracle, (args.dim,)),
+    ]
     lines = []
     if args.dim <= MAX_LAPLACE_DIM:
-        checks.append(check_tustin_consistency(params, args.samples, args.seed))
+        checks.append((TUSTIN_CHECK, check_tustin_consistency, (params, args.samples, args.seed)))
     else:
         lines.append(
             f"SKIP: bilinear substitution consistency "
             f"(s-domain supports dim <= {MAX_LAPLACE_DIM})"
         )
-    for check in checks:
-        lines.append(f"{'PASS' if check.passed else 'FAIL'}: {check.name}")
-        for line in check.details:
+    shared = SharedRoutes(args.dim)
+    passed = True
+    for name, check, check_args in checks:
+        try:
+            result = check(*check_args, shared=shared)
+        except Exception as exc:
+            name = name.format(dim=args.dim, samples=args.samples)
+            result = CheckResult(name, (f"raised {type(exc).__name__}: {exc}",))
+        lines.append(f"{'PASS' if result.passed else 'FAIL'}: {result.name}")
+        for line in result.details:
             print(f"    {line}", file=sys.stderr)
-    passed = all(check.passed for check in checks)
+        passed = passed and result.passed
     return EXIT_OK if passed else EXIT_VERIFY_FAILED, ["\n".join(lines)]
 
 

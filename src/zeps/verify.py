@@ -10,7 +10,9 @@ the factored Z-domain form composed with the bilinear map and against
 both factored routes that ``eval`` takes (exact equality at seeded
 random rational points).  All sampling uses an explicit
 ``random.Random`` instance so identical seeds reproduce identical
-sweeps everywhere.
+sweeps everywhere.  Within one ``verify`` request a ``SharedRoutes``
+hands the checks one sweep over the N**N tuples, for the product form
+and brute force, and one factored Z-domain form.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .sdomain import (
 )
 from .ztransform import (
     MAX_DIM,
+    TransformResult,
     brute_force_ztransform,
     determinant_ztransform,
     factored_value,
@@ -121,41 +124,101 @@ def random_rational_s_point(rng: random.Random, params: TustinParams) -> tuple:
     return tuple(point)
 
 
-def check_epsilon_formulas(dim: int) -> CheckResult:
-    """Product closed form vs inversion parity over all dim**dim tuples.
+# Each check's name, from the request's ``dim`` and ``samples``; ``verify``
+# names a check that raised by it too.
+EPSILON_CHECK = "product closed form vs permutation parity, all {dim}**{dim} tuples"
+ORACLE_CHECK = "factored closed form vs determinant vs brute-force transform, dim={dim}"
+TUSTIN_CHECK = (
+    "factored Laplace form vs Laplace determinant term for term, and bilinear substitution "
+    "consistency, dim={dim}, {samples} seeded rational points, exact"
+)
 
-    Every tuple lies in the window by construction, so each goes straight
-    to the two kernels that ``epsilon_product`` and ``sign_oracle`` wrap.
-    The product kernel stops at its first zero factor, so of the 46,656
-    dim-6 tuples only the 720 with distinct indices reach its division
-    and remainder check.
+
+def sweep_tuples(dim: int) -> tuple[list[str], TransformResult]:
+    """The product form's mismatches and the brute-force transform, in one pass.
+
+    Every one of the dim**dim tuples lies in the window by construction,
+    so each goes straight to the two kernels that ``epsilon_product`` and
+    ``sign_oracle`` wrap, once.  A mismatch line names each tuple where
+    they differ.  The transform is sum_idx parity(idx) z^(-idx), scale 1,
+    as ``brute_force_ztransform`` builds it: it reads only the parity
+    kernel, and nothing of the determinant or factored routes.  The
+    product kernel stops at its first zero factor, so of the 46,656 dim-6
+    tuples only the 720 with distinct indices reach its division and
+    remainder check.
     """
     require_dim(dim, MAX_DIM)
-    mismatches = [
-        f"mismatch at {idx}"
-        for idx in enumerate_indices(dim)
-        if _product_value(idx) != _parity(idx)
-    ]
-    return _result(
-        f"product closed form vs permutation parity, all {dim}**{dim} tuples", mismatches
-    )
+    mismatches, terms = [], {}
+    for idx in enumerate_indices(dim):
+        value = _product_value(idx)
+        sign = _parity(idx)
+        if value != sign:
+            mismatches.append(f"mismatch at {idx}")
+        if sign:
+            terms[tuple(-n for n in idx)] = sign
+    return mismatches, TransformResult(Fraction(1), LaurentPoly(dim, terms))
 
 
-def check_determinant_oracle(dim: int) -> CheckResult:
+class SharedRoutes:
+    """The routes that the checks of one ``verify`` request share, each built at its first read.
+
+    ``sweep()`` is ``sweep_tuples(dim)``, read by the epsilon and oracle
+    checks; ``z_form()`` is ``factored_ztransform(dim)``, read by the
+    oracle and Tustin checks.  A route is built inside the check that
+    reads it first, so that check's time holds the work.  A build that
+    raised raises the same error at each later read instead of running
+    again, so every check that reads it fails alike.  Make one per
+    request: nothing outlives it.
+    """
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        self._built = {}
+
+    def _read(self, build):
+        if build not in self._built:
+            try:
+                self._built[build] = build(self.dim), None
+            except Exception as exc:
+                self._built[build] = None, exc
+        value, error = self._built[build]
+        if error is not None:
+            raise error
+        return value
+
+    def sweep(self) -> tuple[list[str], TransformResult]:
+        return self._read(sweep_tuples)
+
+    def z_form(self) -> TransformResult:
+        return self._read(factored_ztransform)
+
+
+def check_epsilon_formulas(dim: int, *, shared: "SharedRoutes | None" = None) -> CheckResult:
+    """Product closed form vs inversion parity over all dim**dim tuples.
+
+    The mismatches come from ``sweep_tuples``: from ``shared`` when given,
+    else from a sweep of its own.
+    """
+    mismatches, _ = shared.sweep() if shared else sweep_tuples(dim)
+    return _result(EPSILON_CHECK.format(dim=dim), mismatches)
+
+
+def check_determinant_oracle(dim: int, *, shared: "SharedRoutes | None" = None) -> CheckResult:
     """Factored form = determinant = brute-force summation, as exact term maps.
 
     The factored form is the one ``emit`` prints; each form is expanded
-    with its scale folded in before the comparison.
+    with its scale folded in before the comparison.  ``shared``, when
+    given, supplies the factored form and the brute force, the latter
+    from the sweep that the epsilon check reads; without it both are
+    built here.
     """
     routes = (
-        ("factored", factored_ztransform(dim).expanded()),
+        ("factored", (shared.z_form() if shared else factored_ztransform(dim)).expanded()),
         ("determinant", determinant_ztransform(dim).expanded()),
-        ("brute force", brute_force_ztransform(dim).expanded()),
+        ("brute force",
+         (shared.sweep()[1] if shared else brute_force_ztransform(dim)).expanded()),
     )
-    return _result(
-        f"factored closed form vs determinant vs brute-force transform, dim={dim}",
-        _mismatches(routes),
-    )
+    return _result(ORACLE_CHECK.format(dim=dim), _mismatches(routes))
 
 
 def _binomial_pole_product(params: TustinParams) -> LaurentPoly:
@@ -177,7 +240,8 @@ def _binomial_pole_product(params: TustinParams) -> LaurentPoly:
 
 
 def check_tustin_consistency(
-    params: TustinParams, samples: int = 100, seed: int = 0
+    params: TustinParams, samples: int = 100, seed: int = 0,
+    *, shared: "SharedRoutes | None" = None,
 ) -> CheckResult:
     """Factored Laplace form vs the Laplace determinant, then the bilinear map.
 
@@ -202,10 +266,11 @@ def check_tustin_consistency(
     equal them too; a failing point gives one detail line with all four
     values.  (The expanded higher-dimensional numerators cancel
     catastrophically under floating point, which is why no float point
-    is sampled.)
+    is sampled.)  ``shared``, when given, supplies the factored Z-domain
+    form that the oracle check reads; without it the form is built here.
     """
     dim = _laplace_dim(params)
-    z_form = factored_ztransform(dim)
+    z_form = shared.z_form() if shared else factored_ztransform(dim)
     # compared before the Laplace forms are built, so less is live beside its two
     # expansions; the expansion is looked up on ``sdomain``, the one ``emit`` writes
     pole_mismatch = _mismatches((
@@ -234,9 +299,4 @@ def check_tustin_consistency(
                 f"vs s-route {rational_text(via_s)}; eval's z-route "
                 f"{rational_text(eval_z)}, s-route {rational_text(eval_s)}"
             )
-    return _result(
-        f"factored Laplace form vs Laplace determinant term for term, and "
-        f"bilinear substitution consistency, dim={dim}, "
-        f"{samples} seeded rational points, exact",
-        failures,
-    )
+    return _result(TUSTIN_CHECK.format(dim=dim, samples=samples), failures)

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -169,3 +170,38 @@ def test_a_side_with_no_run_gives_its_runs_and_no_verdict():
     assert entry["metrics"]["peak_rss_mb"] == {"unit": "MB", "parent_runs": [20], "change_runs": []}
     assert entry["claim"]["met"] is False
     assert ab.spread([7.0]) == {"median": 7.0, "q1": 7.0, "q3": 7.0}
+
+
+def test_out_records_the_commits_that_the_revisions_name(tmp_path, monkeypatch):
+    # a two-commit repository: HEAD~1 and HEAD must go into --out as SHAs
+    repo = tmp_path / "repo"
+    repo.mkdir()
+
+    def git(*argv):
+        return subprocess.run(
+            ["git", "-c", "user.name=ab", "-c", "user.email=ab@example.com", *argv],
+            cwd=repo, capture_output=True, check=True, text=True,
+        ).stdout.strip()
+
+    git("init", "-q")
+    bench = {"run_seconds": 1, "end_to_end": END_TO_END}
+    for n in (1, 2):
+        (repo / "BENCHMARK.json").write_text(json.dumps({**bench, "edit": n}))
+        git("add", "BENCHMARK.json")
+        git("commit", "-q", "-m", f"commit {n}")
+    monkeypatch.setattr(ab, "ROOT", repo)
+    monkeypatch.setattr(ab, "run_once", lambda *args: ab.parse_run(run_output(100, 20)))
+    out = tmp_path / "BENCH.json"
+    assert ab.main(["HEAD~1", "HEAD", "--workload", "emit", "--seeds", "1",
+                    "--out", str(out)]) == 0
+    document = json.loads(out.read_text())
+    assert document["parent"] == git("rev-parse", "HEAD~1")
+    assert document["change"] == git("rev-parse", "HEAD")
+    assert len(document["change"]) == 40 and document["change"] != document["parent"]
+
+
+def test_a_revision_that_names_no_commit_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        ab.main(["HEAD", "no-such-revision", "--workload", "emit", "--seeds", "1"])
+    assert exc.value.code == 2
+    assert "not a commit: no-such-revision" in capsys.readouterr().err

@@ -12,6 +12,7 @@ import pytest
 import zeps.cli
 import zeps.verify
 from zeps.algebra import LaurentPoly, RationalFn, det, read_rational
+from zeps.epsilon import _parity, _product_value
 from zeps.cli import (
     EXIT_EVALUATION, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, build_parser, main,
 )
@@ -20,6 +21,7 @@ from zeps.sdomain import (
     LaplaceResult, TustinParams, _denominator_product, _tustin_keys, factored_laplace,
     laplace_determinant,
 )
+from zeps.verify import EPSILON_CHECK, ORACLE_CHECK, TUSTIN_CHECK
 from zeps.ztransform import (
     TransformResult, determinant_ztransform, factored_ztransform, scale_constant,
 )
@@ -195,6 +197,84 @@ class TestVerify:
         assert code == EXIT_OK
         assert calls == [4]
 
+    @pytest.mark.parametrize("dim", [3, 4, 5, 6])
+    def test_one_request_sweeps_the_tuples_once_and_builds_the_z_form_once(
+        self, capsys, monkeypatch, dim
+    ):
+        # the epsilon check and the brute force read one sweep, and the
+        # oracle and Tustin checks one factored z form
+        calls = {"parity": 0, "product": 0, "factored": 0}
+
+        def counted(name, fn):
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return call
+
+        for module in ("verify", "ztransform"):
+            monkeypatch.setattr(f"zeps.{module}._parity", counted("parity", _parity))
+        monkeypatch.setattr("zeps.verify._product_value", counted("product", _product_value))
+        monkeypatch.setattr(
+            "zeps.verify.factored_ztransform", counted("factored", factored_ztransform)
+        )
+        code, _, _ = run(capsys, "verify", "--dim", str(dim), "--samples", "1")
+        assert code == EXIT_OK
+        assert calls == {"parity": dim**dim, "product": dim**dim, "factored": 1}
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_one_flipped_parity_sign_fails_the_epsilon_and_oracle_checks(
+        self, capsys, monkeypatch, dim
+    ):
+        # the brute force reads the sweep's parities, so the oracle still
+        # catches a wrong one
+        swapped = (2, 1, *range(3, dim + 1))
+
+        def flipped(idx):
+            return -_parity(idx) if idx == swapped else _parity(idx)
+
+        monkeypatch.setattr("zeps.verify._parity", flipped)
+        code, out, err = run(capsys, "verify", "--dim", str(dim), "--samples", "2")
+        assert code == EXIT_VERIFY_FAILED
+        lines = out.splitlines()
+        assert [line[:5] for line in lines] == ["FAIL:", "FAIL:", "PASS:"]
+        assert lines[1].startswith("FAIL: factored closed form")
+        assert f"    mismatch at {swapped}" in err
+        assert "    determinant differs from brute force in 1 monomials" in err
+
+    def test_a_check_that_raises_fails_its_line(self, capsys, monkeypatch):
+        def planted(point, params):
+            raise KeyError("planted")
+
+        monkeypatch.setattr("zeps.verify.factored_laplace_value", planted)
+        code, out, err = run(capsys, "verify", "--dim", "3", "--samples", "2")
+        assert code == EXIT_VERIFY_FAILED
+        assert out.splitlines() == [
+            f"PASS: {EPSILON_CHECK.format(dim=3)}",
+            f"PASS: {ORACLE_CHECK.format(dim=3)}",
+            f"FAIL: {TUSTIN_CHECK.format(dim=3, samples=2)}",
+        ]
+        assert err == "    raised KeyError: 'planted'\n"
+
+    def test_a_remainder_in_the_product_kernel_fails_both_checks_of_the_sweep(
+        self, capsys, monkeypatch
+    ):
+        # a divisor twice D(1..N) leaves a remainder at the first tuple of
+        # distinct indices; the sweep raises once and each check reading it fails
+        calls = []
+
+        def doubled(dim):
+            calls.append(dim)
+            return 2 * scale_constant(dim)
+
+        monkeypatch.setattr("zeps.epsilon._identity_product", doubled)
+        code, out, err = run(capsys, "verify", "--dim", "3", "--samples", "2")
+        assert code == EXIT_VERIFY_FAILED
+        assert [line[:5] for line in out.splitlines()] == ["FAIL:", "FAIL:", "PASS:"]
+        detail = "    raised IdentityViolationError: product form left remainder 2 at (1, 2, 3)\n"
+        assert err == 2 * detail
+        assert calls == [3]
+
     def test_verify_expands_the_pole_product_once(self, capsys, monkeypatch):
         # the two Laplace forms compare numerators and steps; only the
         # s-route's first evaluation expands the pole product
@@ -307,7 +387,7 @@ class TestVerify:
 
         monkeypatch.setattr(
             "zeps.cli.check_epsilon_formulas",
-            lambda dim: CheckResult("forced failure", ("mismatch at (1, 2)",)),
+            lambda dim, *, shared: CheckResult("forced failure", ("mismatch at (1, 2)",)),
         )
         code, out, err = run(capsys, "verify", "--dim", "2", "--samples", "2")
         assert code == EXIT_VERIFY_FAILED

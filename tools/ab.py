@@ -4,13 +4,15 @@
         [--claim METRIC] [--out BENCH_<n>.json]
 
 PARENT and CHANGE are git revisions of this repository (``git stash
-create`` names an uncommitted working tree).  Each is unpacked with ``git
-archive`` into a fresh directory, so no tree carries an earlier run's
-``__pycache__``, and every run sets ``PYTHONDONTWRITEBYTECODE=1`` to keep
-it so.  Each seed in A-B is one pair: pair i runs ``perfbench/run.py
---workload W --seed A+i --trace 0`` in each tree, unchanged, for
-``BENCHMARK.json``'s ``run_seconds``: the parent first in even pairs and
-the change first in odd ones.  With ``--triples`` a second fresh copy of
+create`` names an uncommitted working tree).  Each is resolved to the
+full SHA of its commit, which is what ``--out`` records, so a BENCH file
+made from ``HEAD`` or a branch still names the code it measured.  Each
+is unpacked with ``git archive`` into a fresh directory, so no tree
+carries an earlier run's ``__pycache__``, and every run sets
+``PYTHONDONTWRITEBYTECODE=1`` to keep it so.  Each seed in A-B is one
+pair: pair i runs ``perfbench/run.py --workload W --seed A+i --trace 0``
+in each tree, unchanged, for ``BENCHMARK.json``'s ``run_seconds``: the
+parent first in even pairs and the change first in odd ones.  With ``--triples`` a second fresh copy of
 the parent runs in each round too, in rotating order, so the spread
 between two copies of one commit sits beside the change's gap.
 
@@ -165,6 +167,15 @@ def verdict(metric: dict, pairs: int, correct: bool) -> dict:
     }
 
 
+def resolve(rev: str) -> str | None:
+    """The full SHA of the commit that ``rev`` names, or None if it names none."""
+    done = subprocess.run(
+        ["git", "rev-parse", "--verify", "--quiet", f"{rev}^{{commit}}"],
+        cwd=ROOT, capture_output=True, text=True,
+    )
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
 def unpack(rev: str, where: Path) -> Path:
     """A fresh tree of ``rev`` from ``git archive``."""
     archive = subprocess.run(
@@ -208,9 +219,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     seeds = args.seeds
     seconds = bench["run_seconds"]
-    revs = {"parent": args.parent, "change": args.change}
+    revs = {"parent": resolve(args.parent), "change": resolve(args.change)}
+    for rev, sha in zip((args.parent, args.change), revs.values()):
+        if sha is None:
+            parser.error(f"not a commit: {rev}")
     if args.triples:
-        revs["parent2"] = args.parent
+        revs["parent2"] = revs["parent"]
     sides = [side for side in SIDES if side in revs]
     rounds = []
     with tempfile.TemporaryDirectory(prefix="zeps-ab-") as work:
@@ -236,7 +250,7 @@ def main(argv=None) -> int:
     document.setdefault(
         "machine", f"{os.cpu_count()}-CPU {platform.machine()}, Python {platform.python_version()}"
     )
-    document.update(parent=args.parent, change=args.change, stats=STATS)
+    document.update(parent=revs["parent"], change=revs["change"], stats=STATS)
     document.setdefault("workloads", {})[args.workload] = entry
     text = json.dumps(document, indent=1) + "\n"
     if args.out:
