@@ -193,7 +193,7 @@ class SharedRoutes:
         return self._read(factored_ztransform)
 
 
-def check_epsilon_formulas(dim: int, *, shared: "SharedRoutes | None" = None) -> CheckResult:
+def check_epsilon_formulas(dim: int, *, shared: SharedRoutes | None = None) -> CheckResult:
     """Product closed form vs inversion parity over all dim**dim tuples.
 
     The mismatches come from ``sweep_tuples``: from ``shared`` when given,
@@ -203,7 +203,7 @@ def check_epsilon_formulas(dim: int, *, shared: "SharedRoutes | None" = None) ->
     return _result(EPSILON_CHECK.format(dim=dim), mismatches)
 
 
-def check_determinant_oracle(dim: int, *, shared: "SharedRoutes | None" = None) -> CheckResult:
+def check_determinant_oracle(dim: int, *, shared: SharedRoutes | None = None) -> CheckResult:
     """Factored form = determinant = brute-force summation, as exact term maps.
 
     The factored form is the one ``emit`` prints; each form is expanded
@@ -241,7 +241,7 @@ def _binomial_pole_product(params: TustinParams) -> LaurentPoly:
 
 def check_tustin_consistency(
     params: TustinParams, samples: int = 100, seed: int = 0,
-    *, shared: "SharedRoutes | None" = None,
+    *, shared: SharedRoutes | None = None,
 ) -> CheckResult:
     """Factored Laplace form vs the Laplace determinant, then the bilinear map.
 

@@ -12,9 +12,10 @@ carries an earlier run's ``__pycache__``, and every run sets
 ``PYTHONDONTWRITEBYTECODE=1`` to keep it so.  Each seed in A-B is one
 pair: pair i runs ``perfbench/run.py --workload W --seed A+i --trace 0``
 in each tree, unchanged, for ``BENCHMARK.json``'s ``run_seconds``: the
-parent first in even pairs and the change first in odd ones.  With ``--triples`` a second fresh copy of
-the parent runs in each round too, in rotating order, so the spread
-between two copies of one commit sits beside the change's gap.
+parent first in even pairs and the change first in odd ones.  With
+``--triples`` a second fresh copy of the parent runs in each round too,
+in rotating order, so the spread between two copies of one commit sits
+beside the change's gap.
 
 Each run's last stdout line is the benchmark's JSON (``correct``,
 ``attempted``, ``failed``, ``metrics``); a run that prints none counts as
