@@ -35,15 +35,15 @@ from .sdomain import (
 from .ztransform import (
     MAX_DIM,
     TransformResult,
-    brute_force_ztransform,
     determinant_ztransform,
     factored_value,
     factored_ztransform,
     require_dim,
 )
 
-# Unused here; perfbench/tracing.py wraps these two names on this module.
+# Unused here; perfbench/tracing.py wraps these three names on this module.
 from .epsilon import epsilon_product, sign_oracle  # noqa: F401
+from .ztransform import brute_force_ztransform  # noqa: F401
 
 POINT_DENOMINATOR = 8
 
@@ -168,7 +168,7 @@ class SharedRoutes:
     reads it first, so that check's time holds the work.  A build that
     raised raises the same error at each later read instead of running
     again, so every check that reads it fails alike.  Make one per
-    request: nothing outlives it.
+    request: nothing outlives it.  A check given none makes its own.
     """
 
     def __init__(self, dim: int):
@@ -196,10 +196,10 @@ class SharedRoutes:
 def check_epsilon_formulas(dim: int, *, shared: SharedRoutes | None = None) -> CheckResult:
     """Product closed form vs inversion parity over all dim**dim tuples.
 
-    The mismatches come from ``sweep_tuples``: from ``shared`` when given,
-    else from a sweep of its own.
+    The mismatches come from the sweep that ``shared`` holds.
     """
-    mismatches, _ = shared.sweep() if shared else sweep_tuples(dim)
+    shared = shared or SharedRoutes(dim)
+    mismatches, _ = shared.sweep()
     return _result(EPSILON_CHECK.format(dim=dim), mismatches)
 
 
@@ -207,16 +207,15 @@ def check_determinant_oracle(dim: int, *, shared: SharedRoutes | None = None) ->
     """Factored form = determinant = brute-force summation, as exact term maps.
 
     The factored form is the one ``emit`` prints; each form is expanded
-    with its scale folded in before the comparison.  ``shared``, when
-    given, supplies the factored form and the brute force, the latter
-    from the sweep that the epsilon check reads; without it both are
-    built here.
+    with its scale folded in before the comparison.  ``shared`` supplies
+    the factored form and the brute force, the latter from the sweep that
+    the epsilon check reads.
     """
+    shared = shared or SharedRoutes(dim)
     routes = (
-        ("factored", (shared.z_form() if shared else factored_ztransform(dim)).expanded()),
+        ("factored", shared.z_form().expanded()),
         ("determinant", determinant_ztransform(dim).expanded()),
-        ("brute force",
-         (shared.sweep()[1] if shared else brute_force_ztransform(dim)).expanded()),
+        ("brute force", shared.sweep()[1].expanded()),
     )
     return _result(ORACLE_CHECK.format(dim=dim), _mismatches(routes))
 
@@ -266,11 +265,11 @@ def check_tustin_consistency(
     equal them too; a failing point gives one detail line with all four
     values.  (The expanded higher-dimensional numerators cancel
     catastrophically under floating point, which is why no float point
-    is sampled.)  ``shared``, when given, supplies the factored Z-domain
-    form that the oracle check reads; without it the form is built here.
+    is sampled.)  ``shared`` supplies the factored Z-domain form that the
+    oracle check reads.
     """
     dim = _laplace_dim(params)
-    z_form = shared.z_form() if shared else factored_ztransform(dim)
+    z_form = (shared or SharedRoutes(dim)).z_form()
     # compared before the Laplace forms are built, so less is live beside its two
     # expansions; the expansion is looked up on ``sdomain``, the one ``emit`` writes
     pole_mismatch = _mismatches((

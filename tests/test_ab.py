@@ -172,8 +172,9 @@ def test_a_side_with_no_run_gives_its_runs_and_no_verdict():
     assert ab.spread([7.0]) == {"median": 7.0, "q1": 7.0, "q3": 7.0}
 
 
-def test_out_records_the_commits_that_the_revisions_name(tmp_path, monkeypatch):
-    # a two-commit repository: HEAD~1 and HEAD must go into --out as SHAs
+@pytest.fixture
+def two_commits(tmp_path, monkeypatch):
+    """A two-commit repository in ``tmp_path`` that ``ab.ROOT`` points at; yields its ``git``."""
     repo = tmp_path / "repo"
     repo.mkdir()
 
@@ -191,16 +192,21 @@ def test_out_records_the_commits_that_the_revisions_name(tmp_path, monkeypatch):
         git("commit", "-q", "-m", f"commit {n}")
     monkeypatch.setattr(ab, "ROOT", repo)
     monkeypatch.setattr(ab, "run_once", lambda *args: ab.parse_run(run_output(100, 20)))
+    return git
+
+
+def test_out_records_the_commits_that_the_revisions_name(two_commits, tmp_path):
+    # HEAD~1 and HEAD must go into --out as SHAs
     out = tmp_path / "BENCH.json"
     assert ab.main(["HEAD~1", "HEAD", "--workload", "emit", "--seeds", "1",
                     "--out", str(out)]) == 0
     document = json.loads(out.read_text())
-    assert document["parent"] == git("rev-parse", "HEAD~1")
-    assert document["change"] == git("rev-parse", "HEAD")
+    assert document["parent"] == two_commits("rev-parse", "HEAD~1")
+    assert document["change"] == two_commits("rev-parse", "HEAD")
     assert len(document["change"]) == 40 and document["change"] != document["parent"]
 
 
-def test_a_revision_that_names_no_commit_is_a_usage_error(capsys):
+def test_a_revision_that_names_no_commit_is_a_usage_error(two_commits, capsys):
     with pytest.raises(SystemExit) as exc:
         ab.main(["HEAD", "no-such-revision", "--workload", "emit", "--seeds", "1"])
     assert exc.value.code == 2
