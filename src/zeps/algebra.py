@@ -876,35 +876,131 @@ def sum_of_products(weighted: Iterable[tuple]):
 
 
 def det(matrix: Sequence[Sequence]):
-    """Determinant of a small square matrix of ring elements.
+    """Determinant of a small square matrix of ring elements, side at most ``MAX_DET_SIDE``.
 
-    Cofactor expansion, memoized over column subsets so each minor is
-    computed once.  Each minor, sum_i +-entry_i * minor_i, is one
-    ``sum_of_products``: a single packed map when a polynomial takes part,
-    where entries of different arities raise :class:`InputDomainError`,
-    else the generic ``sum``, so ``int`` and ``Fraction`` entries keep
-    their type.  The side is capped at ``MAX_DET_SIDE``.
+    Cofactor expansion over row subsets, one column at a time: the minor
+    on the rows ``R`` (ascending) and the first ``k = len(R)`` columns is
+    sum_p (-1)^(p+k-1) * matrix[R[p]][k-1] * minor(R without R[p]), and
+    each of the 2^n minors is built once.  An all-scalar matrix takes the
+    generic ``sum``, so ``int`` and ``Fraction`` entries keep their type.
+    With a polynomial among the entries, every ``int`` or ``Fraction``
+    entry is lifted to a constant, any other scalar raises
+    :class:`TypeError` and entries of different arities raise
+    :class:`InputDomainError`; the minors are then built on packed
+    integers (``_packed_minor``).
     """
     n = len(matrix)
     if n == 0 or any(len(row) != n for row in matrix):
         raise InputDomainError("determinant needs a non-empty square matrix")
     if n > MAX_DET_SIDE:
         raise InputDomainError(f"determinant side capped at {MAX_DET_SIDE}, got {n}")
+    polys = [x for row in matrix for x in row if isinstance(x, LaurentPoly)]
+    subsets = [list(itertools.combinations(range(n), k + 1)) for k in range(n)]
+    if not polys:
+        minors = {(): 1}
+        for k, level in enumerate(subsets):
+            minors = {rows: sum(
+                (-1) ** (p + k) * matrix[r][k] * minors[rows[:p] + rows[p + 1 :]]
+                for p, r in enumerate(rows)
+            ) for rows in level}
+        return minors[subsets[-1][0]]
+    arity = polys[0].arity
+    for poly in polys:
+        if poly.arity != arity:
+            raise InputDomainError(f"arity mismatch: {arity} vs {poly.arity}")
+    if len(polys) < n * n:  # some entry is a scalar
+        if not all(isinstance(x, (LaurentPoly, *EXACT_SCALARS)) for row in matrix for x in row):
+            raise TypeError("only int and Fraction scalars multiply a LaurentPoly")
+        matrix = [[x if isinstance(x, LaurentPoly) else _constant(arity, x) for x in row] for row in matrix]
+    columns = list(zip(*matrix))
+    bits = _bits_for(sum(max(x._reach for x in column) for column in columns))
+    # a minor is (packed map, denominator, exponent bound, largest |numerator|)
+    minors = {
+        (r,): (terms, x._den, x._reach, max(map(abs, terms.values()), default=0))
+        for r, x in enumerate(columns[0]) for terms in (x._at(bits),)
+    }
+    for k in range(1, n):
+        keys, den, entries = _field_rows(columns[k], bits)
+        minors = {rows: _packed_minor(keys, den, k, [entries[r] for r in rows], [
+            minors[rows[:p] + rows[p + 1 :]] for p in range(k + 1)
+        ]) for rows in subsets[k]}
+    terms, den, reach, _ = minors[subsets[-1][0]]
+    return _made(arity, terms, den, bits, reach)
 
-    memo: dict[tuple[int, ...], object] = {}
 
-    def minor(cols: tuple[int, ...]):
-        row = n - len(cols)
-        if len(cols) == 1:
-            return matrix[row][cols[0]]
-        if cols not in memo:
-            memo[cols] = sum_of_products([
-                (-1 if i % 2 else 1, matrix[row][c], minor(cols[:i] + cols[i + 1 :]))
-                for i, c in enumerate(cols)
-            ])
-        return memo[cols]
+def _field_rows(column: Sequence[LaurentPoly], bits: int) -> tuple[list[int], int, list[tuple]]:
+    """A matrix column's distinct monomials, its denominator and each entry as a row of fields.
 
-    return minor(tuple(range(n)))
+    The monomials are the column's packed keys at digit width ``bits``,
+    ascending; the denominator is the entries' least common one.  Entry
+    r is ``(fields, top, reach)``: field i is its numerator of monomial
+    i over that denominator, ``top`` the largest |field| and ``reach``
+    its exponent bound.
+    """
+    den = math.lcm(*[x._den for x in column])
+    maps = [x._at(bits) for x in column]
+    keys = sorted(set().union(*maps))
+    entries = []
+    for terms, x in zip(maps, column):
+        scale = den // x._den
+        fields = [terms.get(key, 0) * scale for key in keys]
+        entries.append((fields, max(map(abs, fields), default=0), x._reach))
+    return keys, den, entries
+
+
+def _packed_minor(keys: list[int], den: int, k: int, entries: list[tuple], subs: list[tuple]) -> tuple:
+    """The minor whose last column, index ``k``, holds ``entries``, from its sub-minors.
+
+    Row p of the minor holds ``entries[p]`` (``_field_rows``) over the
+    column denominator ``den``, and ``subs[p]`` is the minor without that
+    row.  The sub-minors go over their least common denominator,
+    sub-minor p scaled by s_p.  Field i of the sum at a sub-minor monomial
+    m is sum_p +-s_p * c_p(m) * f_p(i), c_p the sub-minor's numerators
+    and f_p the entry's fields, so its magnitude is at most the bound
+    sum_p s_p * max|c_p| * max|f_p|.  In fields of that bound's bit
+    length plus a sign bit no sum spills into its neighbour, so each
+    entry is one integer, field i at bit ``width * i``, and each
+    sub-minor term costs one multiply-add per row:
+    ``acc[m] += c * (+-s_p * packed_p)``.  Each sum is decoded once, low
+    field first: biased by half a field in every field, each field reads
+    as an unsigned one, and a nonzero field i adds to monomial
+    ``m + keys[i]``.
+    """
+    sub_den = math.lcm(*[sub[1] for sub in subs])
+    bound = 0
+    for (_, d, _, top), (_, e_top, _) in zip(subs, entries):
+        bound += sub_den // d * top * e_top
+    if not bound:
+        return {}, 1, 0, 0
+    width = bound.bit_length() + 1
+    acc: dict[int, int] = {}
+    get = acc.get
+    sign, reach = (-1) ** k, 0
+    for (terms, d, sub_reach, top), (fields, e_top, e_reach) in zip(subs, entries):
+        if top and e_top:
+            packed = 0
+            for field in reversed(fields):
+                packed = (packed << width) + field
+            packed *= sign * (sub_den // d)
+            for m, c in terms.items():
+                acc[m] = get(m, 0) + c * packed
+            reach = max(reach, sub_reach + e_reach)
+        sign = -sign
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    bias = half * ((1 << width * len(keys)) - 1) // mask
+    total: dict[int, int] = {}
+    get = total.get
+    for m, value in acc.items():
+        value += bias
+        for key in keys:
+            field = (value & mask) - half
+            if field:
+                total[m + key] = get(m + key, 0) + field
+            value >>= width
+    if 0 in total.values():
+        total = {key: c for key, c in total.items() if c}
+    total, den = _reduce(total, den * sub_den)
+    return total, den, reach, max(map(abs, total.values()), default=0)
 
 
 def differences(xs: Iterable) -> list:
