@@ -895,15 +895,14 @@ def det(matrix: Sequence[Sequence]):
     if n > MAX_DET_SIDE:
         raise InputDomainError(f"determinant side capped at {MAX_DET_SIDE}, got {n}")
     polys = [x for row in matrix for x in row if isinstance(x, LaurentPoly)]
-    subsets = [list(itertools.combinations(range(n), k + 1)) for k in range(n)]
     if not polys:
         minors = {(): 1}
-        for k, level in enumerate(subsets):
+        for k in range(n):
             minors = {rows: sum(
                 (-1) ** (p + k) * matrix[r][k] * minors[rows[:p] + rows[p + 1 :]]
                 for p, r in enumerate(rows)
-            ) for rows in level}
-        return minors[subsets[-1][0]]
+            ) for rows in itertools.combinations(range(n), k + 1)}
+        return minors[tuple(range(n))]
     arity = polys[0].arity
     for poly in polys:
         if poly.arity != arity:
@@ -911,20 +910,24 @@ def det(matrix: Sequence[Sequence]):
     if len(polys) < n * n:  # some entry is a scalar
         if not all(isinstance(x, (LaurentPoly, *EXACT_SCALARS)) for row in matrix for x in row):
             raise TypeError("only int and Fraction scalars multiply a LaurentPoly")
-        matrix = [[x if isinstance(x, LaurentPoly) else _constant(arity, x) for x in row] for row in matrix]
+        matrix = [
+            [x if isinstance(x, LaurentPoly) else _constant(arity, x) for x in row]
+            for row in matrix
+        ]
     columns = list(zip(*matrix))
     bits = _bits_for(sum(max(x._reach for x in column) for column in columns))
-    # a minor is (packed map, denominator, exponent bound, largest |numerator|)
-    minors = {
-        (r,): (terms, x._den, x._reach, max(map(abs, terms.values()), default=0))
-        for r, x in enumerate(columns[0]) for terms in (x._at(bits),)
-    }
+    # a minor is (packed map, denominator, exponent bound, largest |numerator|);
+    # the first column's are its entries
+    minors = {}
+    for r, x in enumerate(columns[0]):
+        terms = x._at(bits)
+        minors[(r,)] = terms, x._den, x._reach, max(map(abs, terms.values()), default=0)
     for k in range(1, n):
         keys, den, entries = _field_rows(columns[k], bits)
         minors = {rows: _packed_minor(keys, den, k, [entries[r] for r in rows], [
             minors[rows[:p] + rows[p + 1 :]] for p in range(k + 1)
-        ]) for rows in subsets[k]}
-    terms, den, reach, _ = minors[subsets[-1][0]]
+        ]) for rows in itertools.combinations(range(n), k + 1)}
+    terms, den, reach, _ = minors[tuple(range(n))]
     return _made(arity, terms, den, bits, reach)
 
 
@@ -948,7 +951,9 @@ def _field_rows(column: Sequence[LaurentPoly], bits: int) -> tuple[list[int], in
     return keys, den, entries
 
 
-def _packed_minor(keys: list[int], den: int, k: int, entries: list[tuple], subs: list[tuple]) -> tuple:
+def _packed_minor(
+    keys: list[int], den: int, k: int, entries: list[tuple], subs: list[tuple]
+) -> tuple:
     """The minor whose last column, index ``k``, holds ``entries``, from its sub-minors.
 
     Row p of the minor holds ``entries[p]`` (``_field_rows``) over the

@@ -234,7 +234,9 @@ def laplace_determinant(params: TustinParams) -> LaplaceResult:
     z_q = tustin_map(s_q, T_q).  Column q of the matrix shares the
     denominator (2 + T_q s_q)^dim, so the determinant is taken over the
     ``moment_matrix`` numerators for Tustin's keys and divided once by
-    the pole product.
+    the pole product.  ``det`` expands it by cofactors on packed
+    integers, not through ``_sum_of_products``, the kernel that
+    multiplies out ``factored_laplace``.
     """
     dim = _laplace_dim(params)
     numerators = moment_matrix(dim, _tustin_keys(params.steps))

@@ -177,8 +177,10 @@ def determinant_ztransform(dim: int) -> TransformResult:
     Entry (row p, column q) of the dim x dim matrix is S(p, q) from
     ``moment_matrix``, p = 0..dim-1 down and q = 1..dim across; the
     determinant divided by ``scale_constant(dim)`` reproduces the
-    brute-force transform exactly.  Built by cofactor expansion on every
-    call, it is the oracle that ``factored_ztransform`` is checked
+    brute-force transform exactly.  Built on every call by ``det``, a
+    cofactor expansion on packed integers whose minors do not go through
+    ``_sum_of_products``, the kernel that multiplies out
+    ``factored_ztransform``, it is the oracle that form is checked
     against; ``verify`` builds it once, in the oracle check.
     """
     body = det(moment_matrix(dim, _z_keys(dim)))

@@ -275,6 +275,29 @@ class TestVerify:
         assert err == 2 * detail
         assert calls == [3]
 
+    @pytest.mark.parametrize("dim", [3, 4, 5])
+    @pytest.mark.parametrize("module", ["ztransform", "sdomain"])
+    def test_a_skewed_determinant_fails_its_check(self, capsys, monkeypatch, dim, module):
+        # one coefficient of det's result one off: the z determinant feeds
+        # only the oracle line, the Laplace determinant only the Tustin line
+        def skewed(matrix):
+            result = det(matrix)
+            return result + LaurentPoly(result.arity, {max(result.terms): 1})
+
+        monkeypatch.setattr(f"zeps.{module}.det", skewed)
+        code, out, err = run(capsys, "verify", "--dim", str(dim), "--samples", "2")
+        assert code == EXIT_VERIFY_FAILED
+        lines = out.splitlines()
+        if module == "ztransform":
+            assert [line[:5] for line in lines] == ["PASS:", "FAIL:", "PASS:"]
+            assert lines[1].startswith("FAIL: factored closed form")
+            assert "    factored differs from determinant in 1 monomials" in err
+            assert "    determinant differs from brute force in 1 monomials" in err
+        else:
+            assert [line[:5] for line in lines] == ["PASS:", "PASS:", "FAIL:"]
+            assert lines[2].startswith("FAIL: factored Laplace form")
+            assert "    factored Laplace form differs from the Laplace determinant" in err
+
     def test_verify_expands_the_pole_product_once(self, capsys, monkeypatch):
         # the two Laplace forms compare numerators and steps; only the
         # s-route's first evaluation expands the pole product

@@ -4,11 +4,13 @@ The reference keeps terms the obvious way, as a dict from exponent tuple
 to ``Fraction``, and shares no code with ``zeps.algebra``.  Exponents
 include the edges of each packing width and values of +-10**6 and beyond,
 so a key that wrapped or a digit read back wrong shows up as a term
-mismatch.  ``det``, which sums each minor's products in one packed map,
-is held to ``old_det``, a verbatim copy of the cofactor expansion that
-summed them one ring operation at a time, and ``sum_of_products``, the
-one accumulation behind ``det`` and the moment builders, to the generic
-``sum`` of its products.
+mismatch.  ``det``, which expands each minor on packed integers, is
+held to ``old_det``, a verbatim copy of the cofactor expansion that
+summed the products one ring operation at a time: on random matrices,
+on the moment matrices ``verify`` builds, where its fields are widest,
+and on matrices whose fields sit at the edge of their width.
+``sum_of_products``, the one accumulation behind the moment builders,
+is held to the generic ``sum`` of its products.
 """
 
 from fractions import Fraction
@@ -19,6 +21,8 @@ from hypothesis import strategies as st
 
 from zeps.algebra import MAX_DET_SIDE, LaurentPoly, det, sum_of_products
 from zeps.errors import EvaluationPoleError, InputDomainError
+from zeps.sdomain import _tustin_keys
+from zeps.ztransform import _z_keys, moment_matrix
 
 WIDE = [
     10**6, -(10**6), 2**15 - 1, -(2**15), 2**15, -(2**15) - 1,
@@ -349,6 +353,76 @@ def test_det_side_cap_still_applies():
     det([[one] * MAX_DET_SIDE for _ in range(MAX_DET_SIDE)])
     with pytest.raises(InputDomainError):
         det([[one] * (MAX_DET_SIDE + 1) for _ in range(MAX_DET_SIDE + 1)])
+
+
+MOMENT_STEPS = {
+    "1": [1] * 5,
+    "uniform 5/2": [Fraction(5, 2)] * 5,
+    "1/2,2/3,3/4,4/3,3/2": [
+        Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(4, 3), Fraction(3, 2)
+    ],
+    "5/2,1,2/3,2/3,1/2": [Fraction(5, 2), 1, Fraction(2, 3), Fraction(2, 3), Fraction(1, 2)],
+}
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_det_of_the_z_moment_matrix_matches_the_old_expansion(dim):
+    # 33-bit fields at dim 6, past anything the random matrices reach
+    matrix = moment_matrix(dim, _z_keys(dim))
+    assert dict(det(matrix).terms) == dict(old_det(matrix).terms)
+
+
+@pytest.mark.parametrize("steps", MOMENT_STEPS, ids=list(MOMENT_STEPS))
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_det_of_the_tustin_moment_matrix_matches_the_old_expansion(dim, steps):
+    # numerators over (2 + T_q s_q)^dim: fields to 69 bits at dim 5
+    matrix = moment_matrix(dim, _tustin_keys(MOMENT_STEPS[steps][:dim]))
+    assert dict(det(matrix).terms) == dict(old_det(matrix).terms)
+
+
+def _width_edges():
+    """Matrices whose minors put a field at the edge of its width, each with its determinant."""
+    x, y = LaurentPoly.variable(2, 1), LaurentPoly.variable(2, 2)
+    t = LaurentPoly.variable(1, 1)
+    return {
+        # the last minor's bound is 3*5 + 3*5, and its one field reads +30 or -30
+        "field at +bound": ([[3 * x, -5 * y], [3 * x, 5 * y]], {(1, 1): 30}),
+        "field at -bound": ([[3 * x, 5 * y], [3 * x, -5 * y]], {(1, 1): -30}),
+        "field at +bound 1": ([[x, -y], [x, y]], {(1, 1): 2}),
+        # every field of the minor cancels
+        "column cancels": ([[x, 2 * y - 3], [x, 2 * y - 3]], {}),
+        # the first 2x2 minor cancels, the determinant does not
+        "zero sub-minor": ([[x, y, 1], [x, y, 0], [1, 0, 0]], {(0, 1): -1}),
+        # row fields -7, 0, 0, 3, -1 and 0, 1, -1, 0, 0: a borrow at each sign change
+        "mixed signs": (
+            [[x, 3 * y**3 - y**4 - 7], [1, y - y**2]],
+            {(1, 1): 1, (1, 2): -1, (0, 3): -3, (0, 4): 1, (0, 0): 7},
+        ),
+        # row denominators 3, 5 and 7: the sub-minors go over 105 and scale
+        "coprime denominators": (
+            [
+                [x * Fraction(1, 3), y * Fraction(2, 3), Fraction(1, 3)],
+                [x * Fraction(4, 5), y * Fraction(1, 5), x * y * Fraction(3, 5)],
+                [Fraction(1, 7), x * y * Fraction(5, 7), y * Fraction(6, 7)],
+            ],
+            None,
+        ),
+        # one variable everywhere: x^4 arrives from two fields and cancels
+        "shared variable": ([[t, t**2], [t**2, t**3 + 1]], {(1,): 1}),
+        "shared variables 3x3": (
+            [[t, t**2, t**3 - 2], [t**2 + 1, t, 3], [2, t**3, t - t**2]],
+            None,
+        ),
+    }
+
+
+@pytest.mark.parametrize("edge", list(_width_edges()))
+def test_det_fields_are_exact_at_the_edge_of_their_width(edge):
+    matrix, expected = _width_edges()[edge]
+    new = det(matrix)
+    assert dict(new.terms) == dict(old_det(matrix).terms)
+    if expected is not None:
+        assert dict(new.terms) == expected
 
 
 # -- sum of products ------------------------------------------------------
