@@ -894,8 +894,8 @@ def det(matrix: Sequence[Sequence]):
         raise InputDomainError("determinant needs a non-empty square matrix")
     if n > MAX_DET_SIDE:
         raise InputDomainError(f"determinant side capped at {MAX_DET_SIDE}, got {n}")
-    polys = [x for row in matrix for x in row if isinstance(x, LaurentPoly)]
-    if not polys:
+    first = next((x for row in matrix for x in row if isinstance(x, LaurentPoly)), None)
+    if first is None:
         minors = {(): 1}
         for k in range(n):
             minors = {rows: sum(
@@ -903,18 +903,10 @@ def det(matrix: Sequence[Sequence]):
                 for p, r in enumerate(rows)
             ) for rows in itertools.combinations(range(n), k + 1)}
         return minors[tuple(range(n))]
-    arity = polys[0].arity
-    for poly in polys:
-        if poly.arity != arity:
-            raise InputDomainError(f"arity mismatch: {arity} vs {poly.arity}")
-    if len(polys) < n * n:  # some entry is a scalar
-        if not all(isinstance(x, (LaurentPoly, *EXACT_SCALARS)) for row in matrix for x in row):
-            raise TypeError("only int and Fraction scalars multiply a LaurentPoly")
-        matrix = [
-            [x if isinstance(x, LaurentPoly) else _constant(arity, x) for x in row]
-            for row in matrix
-        ]
-    columns = list(zip(*matrix))
+    arity = first.arity
+    columns = list(zip(*[[first._coerce(x) for x in row] for row in matrix]))
+    if any(x is None for column in columns for x in column):
+        raise TypeError("only int and Fraction scalars multiply a LaurentPoly")
     bits = _bits_for(sum(max(x._reach for x in column) for column in columns))
     # a minor is (packed map, denominator, exponent bound, largest |numerator|);
     # the first column's are its entries
