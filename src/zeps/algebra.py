@@ -295,13 +295,16 @@ def _reduce(terms: dict[int, int], den: int) -> tuple[dict[int, int], int]:
 
 
 def _fill(poly, arity: int, terms: dict[int, int], den: int, bits: int, reach: int):
-    object.__setattr__(poly, "arity", arity)
-    object.__setattr__(poly, "_terms", terms)
-    object.__setattr__(poly, "_den", den)
-    object.__setattr__(poly, "_bits", bits)
-    object.__setattr__(poly, "_reach", reach)
-    object.__setattr__(poly, "_view", None)
-    object.__setattr__(poly, "_columns", None)
+    """Set the seven slots of ``poly``, each through its slot descriptor's ``__set__``
+    (``_SET_SLOTS``), so no attribute lookup runs; ``_view`` and ``_columns`` start unset."""
+    set_arity, set_terms, set_den, set_bits, set_reach, set_view, set_columns = _SET_SLOTS
+    set_arity(poly, arity)
+    set_terms(poly, terms)
+    set_den(poly, den)
+    set_bits(poly, bits)
+    set_reach(poly, reach)
+    set_view(poly, None)
+    set_columns(poly, None)
     return poly
 
 
@@ -326,8 +329,12 @@ def _sum_of_products(arity: int, weighted: Sequence[tuple]) -> "LaurentPoly":
     one map; cancelled terms are dropped and the map is reduced once, at
     the end.  ``a * b`` is the one-product case.
     """
-    den = math.lcm(*(a._den * b._den for _, a, b in weighted))
-    reach = max(a._reach + b._reach for _, a, b in weighted)
+    if len(weighted) == 1:
+        ((_, a, b),) = weighted
+        den, reach = a._den * b._den, a._reach + b._reach
+    else:
+        den = math.lcm(*(a._den * b._den for _, a, b in weighted))
+        reach = max(a._reach + b._reach for _, a, b in weighted)
     bits = _bits_for(reach)
     total: dict[int, int] = {}
     get = total.get
@@ -783,6 +790,10 @@ class LaurentPoly:
     __str__ = to_text
 
 
+# The setters of LaurentPoly's slots, in ``__slots__`` order, for ``_fill``.
+_SET_SLOTS = tuple(LaurentPoly.__dict__[name].__set__ for name in LaurentPoly.__slots__)
+
+
 class RationalFn(Record):
     """A Laplace-domain body: numerator ``num`` over denominator ``den``.
 
@@ -1044,12 +1055,21 @@ def vandermonde(xs: Sequence) -> "Fraction | complex":
 
     This is det[x_q^r] over r = 1..N and q = 1..N, the factored form of
     every transform here: the difference product over (0, x_1, ..., x_N).
-    Exact inputs (``int``/``Fraction``) give an exact ``Fraction``; any
-    other input makes the product ``complex``.
+    Exact inputs (``int``/``Fraction``) give an exact ``Fraction``, built
+    once from integers: with x_q = a_q/b_q each difference is
+    (a_j b_i - a_i b_j)/(b_i b_j), and each b_q meets N - 1 of them, so
+    the value is prod_q a_q prod_{i<j} (a_j b_i - a_i b_j) over
+    (prod_q b_q)^N.  Any other input makes the product ``complex``, the
+    difference product over (0, x_1, ..., x_N) in complex arithmetic.
     """
-    exact = all(isinstance(x, EXACT_SCALARS) for x in xs)
-    values = [Fraction(x) if exact else complex(x) for x in xs]
-    return difference_product([0, *values])
+    if all(isinstance(x, EXACT_SCALARS) for x in xs):
+        pairs = [(x.numerator, x.denominator) for x in xs]
+        top = math.prod(a for a, _ in pairs)
+        for j, (a, b) in enumerate(pairs):
+            for a_i, b_i in pairs[:j]:
+                top *= a * b_i - a_i * b
+        return Fraction(top, math.prod(b for _, b in pairs) ** len(pairs))
+    return difference_product([0, *map(complex, xs)])
 
 
 class ScaledForm(Record):

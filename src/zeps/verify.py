@@ -115,11 +115,13 @@ def random_rational_s_point(rng: random.Random, params: TustinParams) -> tuple:
     """
     point = []
     for step in params.steps:
+        # T_q s_q = -+2 at s_q = k/POINT_DENOMINATOR exactly where
+        # |T_q's numerator * k| = 2 * POINT_DENOMINATOR * T_q's denominator
+        bar = 2 * POINT_DENOMINATOR * step.denominator
         while True:
-            s = Fraction(rng.randint(-3 * POINT_DENOMINATOR, 3 * POINT_DENOMINATOR),
-                         POINT_DENOMINATOR)
-            if step * s not in (2, -2):
-                point.append(s)
+            k = rng.randint(-3 * POINT_DENOMINATOR, 3 * POINT_DENOMINATOR)
+            if abs(step.numerator * k) != bar:
+                point.append(Fraction(k, POINT_DENOMINATOR))
                 break
     return tuple(point)
 
@@ -283,13 +285,23 @@ def check_tustin_consistency(
     if factored != s_form:
         failures.append("factored Laplace form differs from the Laplace determinant")
     failures += pole_mismatch
+    scale = s_form.scale
     for _ in range(samples):
         s_point = random_rational_s_point(rng, params)
+        # T_q s_q = n_q/d_q, in lowest terms or not: the map and the pole value read
+        # only the ratio, so every value below is one Fraction over integers
+        ts = [(t.numerator * s.numerator, t.denominator * s.denominator)
+              for t, s in zip(params.steps, s_point)]
         # the paper's map; the sampler never draws T_q s_q = 2, where it is singular
-        z_point = tuple((1 + t * s / 2) / (1 - t * s / 2) for t, s in zip(params.steps, s_point))
+        z_point = tuple(Fraction(2 * d + n, 2 * d - n) for n, d in ts)
         via_z = z_form.evaluate(z_point)
-        poles = math.prod((2 + t * s) ** dim for t, s in zip(params.steps, s_point))
-        via_s = s_form.scale * s_form.numerator.evaluate(s_point) / poles
+        # scale * numerator over the pole value, which is
+        # prod_q (2 + T_q s_q)^dim = prod_q (2 d_q + n_q)^dim / prod_q d_q^dim
+        value = s_form.numerator.evaluate(s_point)
+        via_s = Fraction(
+            scale.numerator * value.numerator * math.prod(d for _, d in ts) ** dim,
+            scale.denominator * value.denominator * math.prod(2 * d + n for n, d in ts) ** dim,
+        )
         eval_z = factored_value(z_point)
         eval_s = factored_laplace_value(s_point, params)
         if not via_z == via_s == eval_z == eval_s:
