@@ -296,7 +296,7 @@ def _reduce(terms: dict[int, int], den: int) -> tuple[dict[int, int], int]:
 
 def _fill(poly, arity: int, terms: dict[int, int], den: int, bits: int, reach: int):
     """Set the seven slots of ``poly``, each through its slot descriptor's ``__set__``
-    (``_SET_SLOTS``), so no attribute lookup runs; ``_view`` and ``_columns`` start unset."""
+    (``_SET_SLOTS``), so no attribute lookup runs; ``_view`` and ``_columns`` start as None."""
     set_arity, set_terms, set_den, set_bits, set_reach, set_view, set_columns = _SET_SLOTS
     set_arity(poly, arity)
     set_terms(poly, terms)

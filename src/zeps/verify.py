@@ -260,6 +260,10 @@ def check_tustin_consistency(
     z_q = (1 + s_q T_q/2)/(1 - s_q T_q/2), and the pole factors are
     written here from the paper, apart from the Tustin pair the builders
     and ``eval`` share, so a wrong pair cannot bend both routes alike.
+    Both are written on integers: with T_q s_q = n_q/d_q,
+    z_q = (2 d_q + n_q)/(2 d_q - n_q) and the pole value is
+    prod_q (2 d_q + n_q)^dim / prod_q d_q^dim, so each value is one
+    ``Fraction``, with the scale folded into the s-route's.
     Both routes evaluate with no rounding and are compared for
     equality: any difference is a true algebraic mismatch.  At each
     point the two values ``eval`` prints, ``factored_value`` at the
@@ -295,8 +299,7 @@ def check_tustin_consistency(
         # the paper's map; the sampler never draws T_q s_q = 2, where it is singular
         z_point = tuple(Fraction(2 * d + n, 2 * d - n) for n, d in ts)
         via_z = z_form.evaluate(z_point)
-        # scale * numerator over the pole value, which is
-        # prod_q (2 + T_q s_q)^dim = prod_q (2 d_q + n_q)^dim / prod_q d_q^dim
+        # scale * numerator over prod_q (2 + T_q s_q)^dim = prod_q ((2 d_q + n_q)/d_q)^dim
         value = s_form.numerator.evaluate(s_point)
         via_s = Fraction(
             scale.numerator * value.numerator * math.prod(d for _, d in ts) ** dim,

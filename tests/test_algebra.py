@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from zeps.algebra import LaurentPoly, RationalFn, det, int_text, quoted
+from zeps.algebra import LaurentPoly, RationalFn, det, int_text, quoted, sum_of_products
 from zeps.errors import (
     DegenerateDenominatorError,
     EvaluationPoleError,
@@ -86,6 +86,29 @@ class TestConstruction:
         p = P(1, {(1,): 1})
         with pytest.raises(AttributeError):
             p.arity = 2
+
+    def test_every_result_is_immutable_and_starts_with_no_view_or_columns(self):
+        # every result is filled by algebra._fill through the slot setters; assignment
+        # still goes through LaurentPoly.__setattr__, and the lazy slots start as None
+        a = P(2, {(1, 0): Fraction(1, 2), (0, -1): 3})
+        b = P(2, {(0, 1): 2, (0, 0): Fraction(-1, 3)})
+        results = {
+            "+": a + b, "-": a - b, "*": a * b, "**": a**3, "** 0": a**0, "neg": -a,
+            "int *": 4 * a, "* Fraction": a * Fraction(2, 3), "* 0": a * 0, "+ int": a + 1,
+            "int -": 1 - a, "sum_of_products": sum_of_products([(2, a, b), (-1, b, b)]),
+        }
+        for name, result in results.items():
+            assert result._view is None and result._columns is None, name
+            for slot in LaurentPoly.__slots__:
+                with pytest.raises(AttributeError, match="^LaurentPoly instances are immutable$"):
+                    setattr(result, slot, None)
+        assert results["*"] == P(2, {
+            (1, 1): 1, (1, 0): Fraction(-1, 6), (0, 0): 6, (0, -1): -1,
+        })
+        assert results["**"].terms[(3, 0)] == Fraction(1, 8)
+        assert results["** 0"] == 1 and results["* 0"] == 0
+        dict(results["+"].terms)  # the view and the columns are built on first read
+        assert results["+"]._view is not None and results["+"]._columns is not None
 
 
 class TestArithmetic:

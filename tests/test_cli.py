@@ -5,6 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -471,6 +472,34 @@ class TestVerify:
         assert code == EXIT_VERIFY_FAILED
         assert out.splitlines()[2].startswith("FAIL: factored Laplace form")
         assert err.count("    at s=") == 2
+
+    @pytest.mark.parametrize("dim", [3, 4, 5])
+    @pytest.mark.parametrize("mutant", ["cross sign", "denominator power"])
+    def test_a_mutant_in_the_integer_vandermonde_fails_the_tustin_check(
+        self, capsys, monkeypatch, dim, mutant
+    ):
+        # eval's two routes take vandermonde's integer branch; the first cross
+        # factor written a_i b_j - a_j b_i, or (prod_q b_q)^(N - 1) below, bends
+        # both, and the check's own map and pole values do not read it
+        def bent(xs):
+            pairs = [(Fraction(x).numerator, Fraction(x).denominator) for x in xs]
+            top = math.prod(a for a, _ in pairs)
+            for j, (a, b) in enumerate(pairs):
+                for i, (a_i, b_i) in enumerate(pairs[:j]):
+                    flipped = mutant == "cross sign" and (i, j) == (0, 1)
+                    top *= a_i * b - a * b_i if flipped else a * b_i - a_i * b
+            power = len(pairs) - (mutant == "denominator power")
+            return Fraction(top, math.prod(b for _, b in pairs) ** power)
+
+        for module in ("ztransform", "sdomain"):
+            monkeypatch.setattr(f"zeps.{module}.vandermonde", bent)
+        steps = ",".join(["1/2", "2/3", "3/4", "4/3", "5/2"][:dim])
+        code, out, err = run(capsys, "verify", "--dim", str(dim), "--T", steps, "--samples", "3")
+        assert code == EXIT_VERIFY_FAILED
+        lines = out.splitlines()
+        assert [line[:5] for line in lines] == ["PASS:", "PASS:", "FAIL:"]
+        assert lines[2].startswith("FAIL: factored Laplace form")
+        assert err.count("    at s=") == 3
 
     def test_bad_samples_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

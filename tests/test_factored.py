@@ -211,22 +211,31 @@ def test_emit_builds_no_determinant(monkeypatch):
 class TestExactEquality:
     @pytest.mark.parametrize("dim", range(2, 7))
     def test_z_matches_determinant(self, dim):
-        form = z_determinant(dim)
+        forms = z_determinant(dim), factored_ztransform(dim)
         rng = random.Random(dim)
-        for _ in range(4):
-            point = rational_point(rng, dim, avoid=lambda q, c: c == 0)
-            assert factored_value(point) == form.evaluate(point)
+        points = [tuple(range(1, dim + 1)), tuple(-q for q in range(1, dim + 1))]
+        points += [rational_point(rng, dim, avoid=lambda q, c: c == 0) for _ in range(8)]
+        for point in points:
+            value = factored_value(point)
+            assert type(value) is Fraction
+            assert all(value == form.evaluate(point) for form in forms), point
 
+    @pytest.mark.parametrize("uniform", [True, False], ids=["T=1", "T=1/3,1,5/3"])
     @pytest.mark.parametrize("dim", range(2, 6))
-    def test_s_matches_determinant(self, dim):
-        params = steps(dim)
-        form = s_determinant(params)
+    def test_s_matches_determinant(self, dim, uniform):
+        params = TustinParams.uniform(dim) if uniform else steps(dim)
+        forms = s_determinant(params), factored_laplace(params)
         rng = random.Random(dim)
-        for _ in range(3):
-            point = rational_point(rng, dim, avoid=lambda q, c: params.steps[q] * c == -2)
+
+        def avoid(q, c):
+            return params.steps[q] * c == -2
+
+        points = [tuple(range(dim)), tuple(range(1, dim + 1))]
+        points += [rational_point(rng, dim, avoid=avoid) for _ in range(6)]
+        for point in points:
             value = factored_laplace_value(point, params)
-            assert isinstance(value, Fraction)
-            assert value == form.evaluate(point)
+            assert type(value) is Fraction
+            assert all(value == form.evaluate(point) for form in forms), point
 
     def test_coincident_keys_give_zero(self):
         assert factored_value((Fraction(1, 2), 3, Fraction(1, 2))) == 0
@@ -263,6 +272,32 @@ class TestFactoredFunctions:
         assert vandermonde((1, 2, 3)) == 1 * 2 * 3 * (2 - 1) * (3 - 1) * (3 - 2)
         assert isinstance(vandermonde((1, Fraction(1, 2))), Fraction)
         assert isinstance(vandermonde((1, 2j)), complex)
+
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_exact_vandermonde_equals_the_fraction_difference_product(self, dim):
+        # the integer branch against the route it replaced, at zero, negative, repeated,
+        # int and Fraction coordinates; a zero or a repeat makes the value 0, so both
+        # are drawn rarely.  The value is always a Fraction.
+        rng = random.Random(300 + dim)
+
+        def coordinate():
+            roll = rng.random()
+            if roll < 0.05:
+                return 0
+            if roll < 0.35:
+                return rng.randint(-9, 9)
+            return Fraction(rng.randint(-40, 40), rng.randint(1, 12))
+
+        points = [tuple(range(1, dim + 1)), tuple(-q for q in range(dim))]
+        for _ in range(30):
+            xs = [coordinate() for _ in range(dim)]
+            if dim > 1 and rng.random() < 0.2:
+                xs[rng.randrange(1, dim)] = xs[0]
+            points.append(tuple(xs))
+        for xs in points:
+            value = vandermonde(xs)
+            assert type(value) is Fraction, xs
+            assert value == difference_product([0, *map(Fraction, xs)]), xs
 
     def test_complex_zero_factor_times_infinity_is_not_finite(self):
         # 0 * inf is nan in floating point: a repeated coordinate must not
